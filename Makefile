@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-json alloc-check fuzz fmt vet docs-check api-check wal-check repl-check serve soak golden golden-check counterfactual-check load-smoke overload-smoke
+.PHONY: all build test race bench bench-json alloc-check fuzz fmt vet docs-check api-check wal-check repl-check serve soak golden golden-check tables-check counterfactual-check load-smoke overload-smoke
 
 all: build vet test
 
@@ -111,6 +111,14 @@ golden:
 # fails on any semantic drift (byte-for-byte).
 golden-check:
 	$(GO) test ./internal/eval -run 'TestGolden' -count=1
+
+# tables-check regenerates every paper table and figure (Table II-IV,
+# Fig. 5/6, the ablations and the headline) and fails on any difference
+# from the committed internal/eval/testdata/tables.txt. Regenerate that
+# file only when a result change is intended.
+tables-check:
+	$(GO) run ./cmd/templar-eval -all > tables.txt
+	diff -u internal/eval/testdata/tables.txt tables.txt
 
 # counterfactual-check guards the learning loop: the seeded feedback
 # replay must strictly improve obscured golden hit-rates on every

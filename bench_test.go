@@ -163,13 +163,11 @@ func BenchmarkEvaluateSingleDataset(b *testing.B) {
 	}
 }
 
-// benchmarkMapKeywords measures per-call MAPKEYWORDS cost on the serving
-// hot path: the benchmark workload's keyword sets requested over and over,
-// as a production NLIDB front-end would. The indexed variant answers from
-// the mapper's precomputed candidate index and bounded similarity cache;
-// the seed variant re-scans the database and re-derives every embedding
-// similarity per call.
-func benchmarkMapKeywords(b *testing.B, disableIndex bool) {
+// BenchmarkMapKeywordsIndexed measures per-call MAPKEYWORDS cost on the
+// serving hot path: the benchmark workload's keyword sets requested over
+// and over, as a production NLIDB front-end would, answered from the
+// mapper's precomputed candidate index and bounded similarity cache.
+func BenchmarkMapKeywordsIndexed(b *testing.B) {
 	ds := datasets.MAS()
 	entries := make([]sqlparse.LogEntry, 0, len(ds.Tasks))
 	for _, task := range ds.Tasks {
@@ -183,8 +181,8 @@ func benchmarkMapKeywords(b *testing.B, disableIndex bool) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	mapper := keyword.NewMapper(ds.DB, embedding.New(), graph,
-		keyword.Options{K: 5, Lambda: 0.8, DisableIndex: disableIndex})
+	mapper := keyword.NewMapper(ds.DB, embedding.New(), graph.Snapshot(nil),
+		keyword.Options{K: 5, Lambda: 0.8})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -194,17 +192,11 @@ func benchmarkMapKeywords(b *testing.B, disableIndex bool) {
 	}
 }
 
-// BenchmarkMapKeywordsIndexed is the serving-layer configuration.
-func BenchmarkMapKeywordsIndexed(b *testing.B) { benchmarkMapKeywords(b, false) }
-
-// BenchmarkMapKeywordsSeedScan is the seed per-call scan path, kept as the
-// baseline the indexed mapper must beat on repeated keywords.
-func BenchmarkMapKeywordsSeedScan(b *testing.B) { benchmarkMapKeywords(b, true) }
-
-// benchmarkTranslate measures the full in-process NLQ→SQL pipeline per
-// call (MAPKEYWORDS → INFERJOINS → SQL construction → ranking), tracking
-// allocations, under each QFG scoring path.
-func benchmarkTranslate(b *testing.B, disableSnapshot bool) {
+// BenchmarkTranslateSnapshotQFG measures the full in-process NLQ→SQL
+// pipeline per call (MAPKEYWORDS → INFERJOINS → SQL construction →
+// ranking) in the serving configuration, ranking against the compiled
+// interned-fragment snapshot, tracking allocations.
+func BenchmarkTranslateSnapshotQFG(b *testing.B) {
 	ds := datasets.MAS()
 	entries := make([]sqlparse.LogEntry, 0, len(ds.Tasks))
 	for _, task := range ds.Tasks {
@@ -218,8 +210,8 @@ func benchmarkTranslate(b *testing.B, disableSnapshot bool) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sys := templarpkg.New(ds.DB, embedding.New(), graph, templarpkg.Options{
-		Keyword: keyword.Options{K: 5, Lambda: 0.8, DisableSnapshot: disableSnapshot},
+	sys := templarpkg.NewLive(ds.DB, embedding.New(), graph.Snapshot(nil), templarpkg.Options{
+		Keyword: keyword.Options{K: 5, Lambda: 0.8},
 		LogJoin: true,
 	})
 	specs := []string{
@@ -242,11 +234,3 @@ func benchmarkTranslate(b *testing.B, disableSnapshot bool) {
 		}
 	}
 }
-
-// BenchmarkTranslateSnapshotQFG is the serving configuration: ranking
-// against the compiled interned-fragment snapshot.
-func BenchmarkTranslateSnapshotQFG(b *testing.B) { benchmarkTranslate(b, false) }
-
-// BenchmarkTranslateMapQFG ranks through the map-backed QFG (the seed
-// scoring path), kept as the baseline the snapshot must beat.
-func BenchmarkTranslateMapQFG(b *testing.B) { benchmarkTranslate(b, true) }

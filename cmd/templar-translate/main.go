@@ -37,9 +37,9 @@ import (
 
 	"templar/internal/datasets"
 	"templar/internal/embedding"
+	"templar/internal/eval"
 	"templar/internal/fragment"
 	"templar/internal/keyword"
-	"templar/internal/nlidb"
 	"templar/internal/qfg"
 	"templar/internal/sqlparse"
 	"templar/pkg/api"
@@ -106,19 +106,15 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	opts := keyword.Options{K: *kappa, Lambda: *lambda, Obscurity: fragment.NoConstOp}
-	model := embedding.New()
-	var sys *nlidb.System
-	switch strings.ToLower(*system) {
-	case "pipeline":
-		sys = nlidb.NewPipeline(ds.DB, model, opts)
-	case "pipeline+":
-		sys = nlidb.NewPipelinePlus(ds.DB, model, graph, true, opts)
-	case "nalir":
-		sys = nlidb.NewNaLIR(ds.DB, nlidb.DefaultNaLIRNoise(), opts)
-	case "nalir+":
-		sys = nlidb.NewNaLIRPlus(ds.DB, model, graph, nlidb.DefaultNaLIRNoise(), opts)
-	default:
+	var name eval.SystemName
+	for _, n := range eval.AllSystems() {
+		if strings.EqualFold(string(n), *system) {
+			name = n
+		}
+	}
+	opts := eval.Options{K: *kappa, Lambda: *lambda, Obscurity: fragment.NoConstOp}
+	sys, err := eval.NewSystem(ds, name, embedding.New(), graph.Snapshot(nil), opts)
+	if err != nil {
 		fatal(fmt.Errorf("unknown system %q", *system))
 	}
 

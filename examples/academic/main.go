@@ -44,7 +44,7 @@ func main() {
 	opts := keyword.Options{Obscurity: fragment.NoConstOp}
 
 	// Example 1: the vanilla pipeline picks journal and a short join path.
-	base := nlidb.NewPipeline(ds.DB, model, opts)
+	base := nlidb.NewSystem("Pipeline", ds.DB, model, nlidb.Config{Keyword: opts})
 	trBase, err := base.Translate(task.NLQ, task.Hazard, task.Keywords)
 	must(err)
 	fmt.Println("Pipeline (Example 1 — the mistake):")
@@ -53,7 +53,7 @@ func main() {
 	fmt.Printf("  SQL:         %s\n\n", trBase.Rendered)
 
 	// Example 3: Templar's log evidence corrects both decisions.
-	plus := nlidb.NewPipelinePlus(ds.DB, model, graph, true, opts)
+	plus := nlidb.NewSystem("Pipeline+", ds.DB, model, nlidb.Config{Keyword: opts, QFG: graph.Snapshot(nil), LogJoin: true})
 	trPlus, err := plus.Translate(task.NLQ, task.Hazard, task.Keywords)
 	must(err)
 	fmt.Println("Pipeline+ (Example 3 — the fix):")

@@ -55,7 +55,11 @@ func main() {
 	// 4. Assemble a Templar-augmented pipeline NLIDB and translate the NLQ
 	// "Return the papers after 2000" (the paper's Example 4). The NLIDB
 	// front-end has already parsed it into keywords with metadata.
-	sys := nlidb.NewPipelinePlus(d, embedding.New(), graph, true, keyword.Options{Obscurity: fragment.NoConstOp})
+	sys := nlidb.NewSystem("Pipeline+", d, embedding.New(), nlidb.Config{
+		Keyword: keyword.Options{Obscurity: fragment.NoConstOp},
+		QFG:     graph.Snapshot(nil),
+		LogJoin: true,
+	})
 	kws := []keyword.Keyword{
 		{Text: "papers", Meta: keyword.Metadata{Context: fragment.Select}},
 		{Text: "after 2000", Meta: keyword.Metadata{Context: fragment.Where, Op: ">"}},

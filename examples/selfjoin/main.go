@@ -13,7 +13,6 @@ import (
 	"templar/internal/datasets"
 	"templar/internal/embedding"
 	"templar/internal/joinpath"
-	"templar/internal/keyword"
 	"templar/internal/nlidb"
 	"templar/internal/sqlparse"
 )
@@ -42,7 +41,7 @@ func main() {
 
 	// End-to-end translation; even the log-free baseline handles the
 	// fork — self-joins are a structural capability, not a log feature.
-	sys := nlidb.NewPipeline(ds.DB, embedding.New(), keyword.Options{})
+	sys := nlidb.NewSystem("Pipeline", ds.DB, embedding.New(), nlidb.Config{})
 	tr, err := sys.Translate(task.NLQ, false, task.Keywords)
 	must(err)
 	fmt.Printf("\nSQL: %s\n", tr.Rendered)

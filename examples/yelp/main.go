@@ -61,12 +61,12 @@ func main() {
 	// End to end: the baseline ties, Pipeline+ resolves.
 	model := embedding.New()
 	opts := keyword.Options{Obscurity: fragment.NoConstOp}
-	base := nlidb.NewPipeline(ds.DB, model, opts)
+	base := nlidb.NewSystem("Pipeline", ds.DB, model, nlidb.Config{Keyword: opts})
 	trBase, err := base.Translate(task.NLQ, task.Hazard, task.Keywords)
 	must(err)
 	fmt.Printf("Pipeline:  %s\n  tie for first place: %v\n", trBase.Rendered, trBase.Tie)
 
-	plus := nlidb.NewPipelinePlus(ds.DB, model, graph, true, opts)
+	plus := nlidb.NewSystem("Pipeline+", ds.DB, model, nlidb.Config{Keyword: opts, QFG: graph.Snapshot(nil), LogJoin: true})
 	trPlus, err := plus.Translate(task.NLQ, task.Hazard, task.Keywords)
 	must(err)
 	fmt.Printf("Pipeline+: %s\n  tie for first place: %v\n", trPlus.Rendered, trPlus.Tie)

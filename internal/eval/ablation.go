@@ -69,7 +69,7 @@ func EvaluateVariant(ds *datasets.Dataset, v Variant, opts Options) (Metrics, er
 		if v.Keyword != nil {
 			kwOpts = v.Keyword(kwOpts)
 		}
-		cfg := nlidb.Config{Keyword: kwOpts, QFG: graph, LogJoin: !opts.DisableLogJoin}
+		cfg := nlidb.Config{Keyword: kwOpts, QFG: graph.Snapshot(nil), LogJoin: !opts.DisableLogJoin}
 		if v.JoinWeights != nil {
 			cfg.JoinWeights = v.JoinWeights(graph)
 		}

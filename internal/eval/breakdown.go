@@ -7,8 +7,6 @@ import (
 
 	"templar/internal/datasets"
 	"templar/internal/embedding"
-	"templar/internal/keyword"
-	"templar/internal/nlidb"
 )
 
 // TemplateBreakdown runs the cross-validated evaluation of one system and
@@ -18,7 +16,6 @@ func TemplateBreakdown(ds *datasets.Dataset, system SystemName, opts Options) (s
 	opts = opts.withDefaults()
 	folds := splitFolds(len(ds.Tasks), opts.Folds, opts.Seed)
 	model := embedding.New()
-	kwOpts := keyword.Options{K: opts.K, Lambda: opts.Lambda, Obscurity: opts.Obscurity}
 
 	perTemplate := make(map[string]*Metrics)
 	var order []string
@@ -37,18 +34,9 @@ func TemplateBreakdown(ds *datasets.Dataset, system SystemName, opts Options) (s
 		if err != nil {
 			return "", err
 		}
-		var sys *nlidb.System
-		switch system {
-		case Pipeline:
-			sys = nlidb.NewPipeline(ds.DB, model, kwOpts)
-		case PipelinePlus:
-			sys = nlidb.NewPipelinePlus(ds.DB, model, graph, !opts.DisableLogJoin, kwOpts)
-		case NaLIR:
-			sys = nlidb.NewNaLIR(ds.DB, opts.Noise, kwOpts)
-		case NaLIRPlus:
-			sys = nlidb.NewNaLIRPlus(ds.DB, model, graph, opts.Noise, kwOpts)
-		default:
-			return "", fmt.Errorf("eval: unknown system %q", system)
+		sys, err := NewSystem(ds, system, model, graph.Snapshot(nil), opts)
+		if err != nil {
+			return "", err
 		}
 		for _, ti := range folds[trial] {
 			task := ds.Tasks[ti]

@@ -107,6 +107,30 @@ const (
 // AllSystems lists the Table III systems in paper order.
 func AllSystems() []SystemName { return []SystemName{NaLIR, NaLIRPlus, Pipeline, PipelinePlus} }
 
+// NewSystem builds one of the four Table III systems over ds with the
+// similarity model, κ, λ and obscurity of opts. snap is the compiled
+// training log the augmented (+) systems rank against; one snapshot can be
+// shared by both. The wiring is the paper's: NaLIR swaps in the
+// lexicon-only similarity model, NaLIR and NaLIR+ run the opts.Noise
+// parser front-end, Pipeline+ honours DisableLogJoin (Table IV), and
+// NaLIR+ always uses log-driven join weights.
+func NewSystem(ds *datasets.Dataset, name SystemName, model *embedding.Model, snap *qfg.Snapshot, opts Options) (*nlidb.System, error) {
+	opts = opts.withDefaults()
+	cfg := nlidb.Config{Keyword: keyword.Options{K: opts.K, Lambda: opts.Lambda, Obscurity: opts.Obscurity}}
+	switch name {
+	case Pipeline:
+	case PipelinePlus:
+		cfg.QFG, cfg.LogJoin = snap, !opts.DisableLogJoin
+	case NaLIR:
+		model, cfg.Noise = embedding.NewLexiconOnly(), opts.Noise
+	case NaLIRPlus:
+		cfg.QFG, cfg.LogJoin, cfg.Noise = snap, true, opts.Noise
+	default:
+		return nil, fmt.Errorf("eval: unknown system %q", name)
+	}
+	return nlidb.NewSystem(string(name), ds.DB, model, cfg), nil
+}
+
 // Result maps each system to its aggregated metrics over all folds.
 type Result map[SystemName]Metrics
 
@@ -117,26 +141,17 @@ func Evaluate(ds *datasets.Dataset, systems []SystemName, opts Options) (Result,
 	folds := splitFolds(len(ds.Tasks), opts.Folds, opts.Seed)
 	out := make(Result, len(systems))
 	model := embedding.New()
-	kwOpts := keyword.Options{K: opts.K, Lambda: opts.Lambda, Obscurity: opts.Obscurity}
 
 	for trial := 0; trial < opts.Folds; trial++ {
 		graph, err := trainQFG(ds, folds, trial, opts.Obscurity)
 		if err != nil {
 			return nil, err
 		}
+		snap := graph.Snapshot(nil)
 		built := make(map[SystemName]*nlidb.System, len(systems))
 		for _, name := range systems {
-			switch name {
-			case Pipeline:
-				built[name] = nlidb.NewPipeline(ds.DB, model, kwOpts)
-			case PipelinePlus:
-				built[name] = nlidb.NewPipelinePlus(ds.DB, model, graph, !opts.DisableLogJoin, kwOpts)
-			case NaLIR:
-				built[name] = nlidb.NewNaLIR(ds.DB, opts.Noise, kwOpts)
-			case NaLIRPlus:
-				built[name] = nlidb.NewNaLIRPlus(ds.DB, model, graph, opts.Noise, kwOpts)
-			default:
-				return nil, fmt.Errorf("eval: unknown system %q", name)
+			if built[name], err = NewSystem(ds, name, model, snap, opts); err != nil {
+				return nil, err
 			}
 		}
 		trialMetrics := scoreFold(ds, folds[trial], systems, built, opts.Parallelism)

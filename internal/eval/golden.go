@@ -120,8 +120,8 @@ type GoldenCorpus struct {
 	Tasks      []GoldenTask `json:"tasks"`
 }
 
-// BuildGolden drives the full serving engine — templar.New over the
-// dataset's complete gold-SQL log mined at the given obscurity level —
+// BuildGolden drives the full serving engine — templar.NewLive over
+// the dataset's complete gold-SQL log mined at the given obscurity level —
 // through a seeded task selection and pins everything it answers.
 func BuildGolden(ds *datasets.Dataset, ob fragment.Obscurity, opts GoldenOptions) (*GoldenCorpus, error) {
 	opts = opts.withDefaults()
@@ -137,7 +137,7 @@ func BuildGolden(ds *datasets.Dataset, ob fragment.Obscurity, opts GoldenOptions
 	if err != nil {
 		return nil, err
 	}
-	sys := templar.New(ds.DB, embedding.New(), graph, templar.Options{
+	sys := templar.NewLive(ds.DB, embedding.New(), graph.Snapshot(nil), templar.Options{
 		Keyword: keyword.Options{K: opts.K, Lambda: opts.Lambda, Obscurity: ob},
 		LogJoin: true,
 	})

@@ -7,8 +7,6 @@ import (
 	"templar/internal/datasets"
 	"templar/internal/embedding"
 	"templar/internal/fragment"
-	"templar/internal/keyword"
-	"templar/internal/nlidb"
 	"templar/internal/qfg"
 	"templar/internal/sqlparse"
 )
@@ -45,8 +43,10 @@ func evaluateWithSessions(ds *datasets.Dataset, decay float64, opts Options) (Me
 		if err != nil {
 			return Metrics{}, err
 		}
-		kwOpts := keyword.Options{K: opts.K, Lambda: opts.Lambda, Obscurity: opts.Obscurity}
-		sys := nlidb.NewPipelinePlus(ds.DB, model, graph, !opts.DisableLogJoin, kwOpts)
+		sys, err := NewSystem(ds, PipelinePlus, model, graph.Snapshot(nil), opts)
+		if err != nil {
+			return Metrics{}, err
+		}
 		for _, ti := range folds[trial] {
 			total.Add(scoreTask(sys, ds.Tasks[ti]))
 		}

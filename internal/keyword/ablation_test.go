@@ -6,6 +6,7 @@ import (
 
 	"templar/internal/embedding"
 	"templar/internal/fragment"
+	"templar/internal/qfg"
 	"templar/internal/sqlparse"
 )
 
@@ -30,9 +31,9 @@ func TestArithmeticMeanOption(t *testing.T) {
 }
 
 func TestIncludeFromInQFGOption(t *testing.T) {
-	graph := paperishLog(t, fragment.NoConstOp)
-	base := NewMapper(masMini(t), embedding.New(), graph, Options{})
-	withFrom := NewMapper(masMini(t), embedding.New(), graph, Options{IncludeFromInQFG: true})
+	snap := paperishLog(t, fragment.NoConstOp).Snapshot(nil)
+	base := NewMapper(masMini(t), embedding.New(), snap, Options{})
+	withFrom := NewMapper(masMini(t), embedding.New(), snap, Options{IncludeFromInQFG: true})
 	cfg := Configuration{Mappings: []Mapping{
 		{Kind: KindRelation, Rel: "journal", Sim: 0.8},
 		{Kind: KindAttr, Rel: "journal", Attr: "name", Sim: 0.8},
@@ -48,4 +49,26 @@ func TestIncludeFromInQFGOption(t *testing.T) {
 	if cfgB.QFGScore <= cfgA.QFGScore {
 		t.Fatalf("include-FROM should inflate QFG score: %v vs %v", cfgB.QFGScore, cfgA.QFGScore)
 	}
+}
+
+// scoreConfigAdhoc scores one standalone configuration, translating its
+// fragments to IDs on the spot (the enumeration in genAndScoreConfigs
+// precomputes IDs for whole candidate sets instead).
+func (m *Mapper) scoreConfigAdhoc(cfg *Configuration) {
+	var snap *qfg.Snapshot
+	if m.src != nil {
+		snap = m.src.CurrentSnapshot()
+	}
+	var ids []candID
+	if snap != nil {
+		ob := snap.Obscurity()
+		ids = make([]candID, len(cfg.Mappings))
+		for i, mp := range cfg.Mappings {
+			if mp.Kind == KindRelation && !m.opts.IncludeFromInQFG {
+				continue
+			}
+			ids[i] = candID{id: snap.Lookup(mp.Fragment(ob)), use: true}
+		}
+	}
+	m.scoreConfig(cfg, snap, ids, m.opts)
 }

@@ -9,21 +9,22 @@
 // # Entry points
 //
 // Mapper is the engine; MapKeywords is the call (Algorithm 1). NewMapper
-// binds a mapper to a database, similarity model and optional QFG —
-// compiling the graph into an immutable snapshot once, unless
-// Options.DisableSnapshot selects the retained map-backed ablation path.
-// NewSnapshotMapper instead ranks against whatever a qfg.SnapshotSource
-// currently publishes: pass a fixed *qfg.Snapshot for a frozen log (e.g.
-// one loaded from internal/store), or a *qfg.Live so copy-on-write
-// republishes reach the mapper without rebuilding it. WithSource pins a
-// shallow copy of a mapper to one snapshot for the lifetime of a request
-// pipeline, sharing the candidate index and similarity cache.
+// binds a mapper to a database, a similarity model and a qfg.SnapshotSource:
+// a fixed *qfg.Snapshot for a frozen log (e.g. one compiled from a graph or
+// loaded from internal/store), a *qfg.Live so copy-on-write republishes
+// reach the mapper without rebuilding it, or nil for the log-free baseline.
+// WithSource pins a shallow copy of a mapper to one snapshot for the
+// lifetime of a request pipeline, sharing the candidate index and
+// similarity cache.
 //
 // A Mapper is safe for concurrent use: candidate retrieval goes through an
 // inverted index over schema names and column values precomputed at
-// construction (seed scan path behind Options.DisableIndex), embedding
-// similarities are memoized in a bounded sharded cache, and QFG scoring
-// probes an immutable interned-ID snapshot with zero locking.
+// construction, embedding similarities are memoized in a bounded sharded
+// cache, and QFG scoring probes an immutable interned-ID snapshot with
+// zero locking. There is one retrieval path and one scoring path; the
+// package tests pin them to the references they replace — db's
+// FindTextAttrs/FindNumericAttrs probes and qfg.Graph's Dice,
+// Occurrences and Queries.
 //
 // Keyword carries the parser metadata M_k = (τ, ω, F, g) of §V-A;
 // ParseSpec builds keyword lists from the compact "text:context[:op|:agg]"

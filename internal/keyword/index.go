@@ -18,10 +18,10 @@ import (
 // values per attribute (replacing the full row scan in Table.AnyMatch).
 //
 // The index is immutable after construction and therefore safe for
-// concurrent use. Candidate enumeration order matches the seed scan path
-// exactly — relations sorted for text/numeric probes, schema insertion
-// order for FROM and SELECT candidates — so an indexed Mapper returns
-// byte-identical configurations to an unindexed one.
+// concurrent use. Every probe returns exactly what the database's own
+// FindTextAttrs/FindNumericAttrs return, in the same order — relations
+// sorted for text/numeric probes, schema insertion order for FROM and
+// SELECT candidates (TestCandidateIndexMatchesDatabaseProbes pins this).
 type candidateIndex struct {
 	// fromRels is the FROM-context candidate list (schema insertion order).
 	fromRels []string

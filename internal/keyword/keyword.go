@@ -125,21 +125,11 @@ type Options struct {
 	// force their relations, which would double-count evidence; this flag
 	// exists for the design ablation.
 	IncludeFromInQFG bool
-	// DisableIndex restores the seed per-call scan path: no precomputed
-	// candidate index and no similarity memo cache. Kept for ablations and
-	// the indexed-vs-scan benchmark; results are identical either way.
-	DisableIndex bool
-	// DisableSnapshot restores the map-backed QFG scoring path: Dice
-	// lookups go through the mutable Graph's mutex and fragment-keyed maps
-	// instead of the compiled interned-ID snapshot. Kept for parity tests
-	// and the snapshot-vs-map ranking benchmark; results are identical
-	// either way.
-	DisableSnapshot bool
-	// SimCacheSize bounds the similarity memo cache (total entries across
-	// all shards, approximately — see simCache). Default 65536. Ignored
-	// when DisableIndex is set.
-	SimCacheSize int
 }
+
+// simCacheSize bounds the similarity memo cache (total entries across all
+// shards, approximately — see simCache).
+const simCacheSize = 65536
 
 func (o Options) withDefaults() Options {
 	if o.K <= 0 {
@@ -154,9 +144,6 @@ func (o Options) withDefaults() Options {
 	if o.MaxConfigurations <= 0 {
 		o.MaxConfigurations = 5000
 	}
-	if o.SimCacheSize <= 0 {
-		o.SimCacheSize = 65536
-	}
 	return o
 }
 
@@ -169,68 +156,48 @@ func (o Options) withDefaults() Options {
 type Mapper struct {
 	db    *db.Database
 	model *embedding.Model
-	graph *qfg.Graph // nil disables log-driven scoring (pure baseline)
 	// src yields the compiled QFG snapshot configurations are ranked
-	// against (nil when Options.DisableSnapshot restores the map path, or
-	// when there is no QFG at all). A *qfg.Live source lets log appends
-	// republish without rebuilding the Mapper.
+	// against; nil disables log-driven scoring (pure baseline). A *qfg.Live
+	// source lets log appends republish without rebuilding the Mapper.
 	src  qfg.SnapshotSource
 	opts Options
-	// index precomputes candidate retrieval structures (nil when
-	// Options.DisableIndex restores the per-call scan path).
+	// index precomputes candidate retrieval structures.
 	index *candidateIndex
-	// cache memoizes model.Similarity calls (nil when DisableIndex).
+	// cache memoizes model.Similarity calls.
 	cache *simCache
 }
 
-// NewMapper builds a Mapper. Passing a nil QFG yields the baseline behavior
-// (ScoreQFG ≡ 0; with Lambda = 1 this is exactly the Pipeline system of
-// §VII-A2). When a QFG is supplied, fragment lookups always use the graph's
-// own obscurity level — Options.Obscurity is overridden, because querying a
-// NoConstOp graph with Full fragments (or vice versa) can never match.
+// NewMapper builds a Mapper that ranks against whatever snapshot src
+// currently publishes — pass a fixed *qfg.Snapshot for a frozen log, or a
+// *qfg.Live so copy-on-write republishes after log appends reach the
+// Mapper without rebuilding it. The snapshot is loaded once per
+// MapKeywords call (one atomic read), so a single request always scores
+// against one consistent view.
 //
-// Unless Options.DisableIndex is set, NewMapper precomputes an inverted
-// index over schema names and column values (so candidate retrieval stops
-// scanning tables per call) and installs a bounded memo cache for embedding
-// similarities; both preserve the exact seed-path results.
-func NewMapper(database *db.Database, model *embedding.Model, graph *qfg.Graph, opts Options) *Mapper {
-	if graph != nil {
-		opts.Obscurity = graph.Obscurity()
-	}
-	m := &Mapper{db: database, model: model, graph: graph, opts: opts.withDefaults()}
-	if graph != nil && !m.opts.DisableSnapshot {
-		// Compile the graph once; the Mapper then ranks configurations
-		// against the immutable snapshot with zero locking. Callers that
-		// keep appending to their log use NewSnapshotMapper with a
-		// qfg.Live source instead.
-		m.src = graph.Snapshot(nil)
-	}
-	if !m.opts.DisableIndex {
-		m.index = buildCandidateIndex(database)
-		m.cache = newSimCache(m.opts.SimCacheSize)
-	}
-	return m
-}
-
-// NewSnapshotMapper builds a Mapper that ranks against whatever snapshot
-// src currently publishes — pass a fixed *qfg.Snapshot for a frozen log, or
-// a *qfg.Live so copy-on-write republishes after log appends reach the
-// Mapper without rebuilding it. The snapshot is loaded once per MapKeywords
-// call (one atomic read), so a single request always scores against one
-// consistent view. Options.Obscurity is overridden by the snapshot's own
-// level, as in NewMapper.
-func NewSnapshotMapper(database *db.Database, model *embedding.Model, src qfg.SnapshotSource, opts Options) *Mapper {
+// A nil src (or a nil *qfg.Live or *qfg.Snapshot) yields the baseline
+// behavior: ScoreQFG ≡ 0 and λ forced to 1, exactly the Pipeline system of
+// §VII-A2. With a source, fragment lookups always use the snapshot's own
+// obscurity level — Options.Obscurity is overridden, because querying a
+// NoConstOp log with Full fragments (or vice versa) can never match.
+//
+// NewMapper precomputes an inverted index over schema names and column
+// values, so candidate retrieval never scans tables per call, and installs
+// a bounded memo cache for embedding similarities.
+func NewMapper(database *db.Database, model *embedding.Model, src qfg.SnapshotSource, opts Options) *Mapper {
+	src = qfg.NonNilSource(src)
 	if src != nil {
 		if snap := src.CurrentSnapshot(); snap != nil {
 			opts.Obscurity = snap.Obscurity()
 		}
 	}
-	m := &Mapper{db: database, model: model, src: src, opts: opts.withDefaults()}
-	if !m.opts.DisableIndex {
-		m.index = buildCandidateIndex(database)
-		m.cache = newSimCache(m.opts.SimCacheSize)
+	return &Mapper{
+		db:    database,
+		model: model,
+		src:   src,
+		opts:  opts.withDefaults(),
+		index: buildCandidateIndex(database),
+		cache: newSimCache(simCacheSize),
 	}
-	return m
 }
 
 // WithSource returns a shallow copy of the Mapper bound to a different
@@ -246,13 +213,10 @@ func (m *Mapper) WithSource(src qfg.SnapshotSource) *Mapper {
 	return &c
 }
 
-// similarity scores two phrases through the bounded memo cache when one is
-// installed. Model.Similarity is symmetric and deterministic, so cached
-// values are exact.
+// similarity scores two phrases through the bounded memo cache.
+// Model.Similarity is symmetric and deterministic, so cached values are
+// exact.
 func (m *Mapper) similarity(a, b string) float64 {
-	if m.cache == nil {
-		return m.model.Similarity(a, b)
-	}
 	k := makeSimKey(a, b)
 	if v, ok := m.cache.get(k); ok {
 		return v
@@ -354,7 +318,7 @@ func (m *Mapper) requestOptions(co CallOptions) (Options, error) {
 		opts.MaxConfigurations = co.MaxConfigurations
 	}
 	if co.Obscurity != nil {
-		if (m.src != nil || m.graph != nil) && *co.Obscurity != m.opts.Obscurity {
+		if m.src != nil && *co.Obscurity != m.opts.Obscurity {
 			return opts, &ObscurityMismatchError{Want: *co.Obscurity, Have: m.opts.Obscurity}
 		}
 		opts.Obscurity = *co.Obscurity
@@ -367,8 +331,7 @@ func (m *Mapper) requestOptions(co CallOptions) (Options, error) {
 
 // keywordCands maps one keyword to its unscored candidates, appending into
 // buf (pass buf[:0] to reuse a pooled buffer across calls). Retrieval goes
-// through the precomputed index when one exists; the helpers below fall
-// back to the seed per-call database scans otherwise.
+// through the precomputed candidate index.
 func (m *Mapper) keywordCands(kw Keyword, buf []Mapping) []Mapping {
 	out := buf
 	if num, ok := extractNumber(kw.Text); ok {
@@ -376,7 +339,7 @@ func (m *Mapper) keywordCands(kw Keyword, buf []Mapping) []Mapping {
 		if op == "" {
 			op = "="
 		}
-		for _, match := range m.findNumericAttrs(num, op) {
+		for _, match := range m.index.findNumericAttrs(num, op) {
 			out = append(out, Mapping{
 				Keyword: kw.Text,
 				Kind:    KindPred,
@@ -390,7 +353,7 @@ func (m *Mapper) keywordCands(kw Keyword, buf []Mapping) []Mapping {
 	}
 	switch kw.Meta.Context {
 	case fragment.From:
-		for _, rel := range m.relationCands() {
+		for _, rel := range m.index.fromRels {
 			out = append(out, Mapping{Keyword: kw.Text, Kind: KindRelation, Rel: rel})
 		}
 	case fragment.Select:
@@ -398,7 +361,7 @@ func (m *Mapper) keywordCands(kw Keyword, buf []Mapping) []Mapping {
 		if len(kw.Meta.Aggs) > 0 {
 			agg = kw.Meta.Aggs[0]
 		}
-		for _, ra := range m.selectCands() {
+		for _, ra := range m.index.selectAttrs {
 			out = append(out, Mapping{
 				Keyword: kw.Text,
 				Kind:    KindAttr,
@@ -411,7 +374,7 @@ func (m *Mapper) keywordCands(kw Keyword, buf []Mapping) []Mapping {
 	default:
 		// WHERE context: full-text search for matching text values (§V-A).
 		const maxValuesPerAttr = 8
-		for _, match := range m.findTextAttrs(kw.Text) {
+		for _, match := range m.index.findTextAttrs(kw.Text) {
 			vals := match.Values
 			if len(vals) > maxValuesPerAttr {
 				vals = m.bestValues(kw.Text, vals, maxValuesPerAttr)
@@ -429,47 +392,6 @@ func (m *Mapper) keywordCands(kw Keyword, buf []Mapping) []Mapping {
 		}
 	}
 	return out
-}
-
-// relationCands lists the FROM-context candidate relations.
-func (m *Mapper) relationCands() []string {
-	if m.index != nil {
-		return m.index.fromRels
-	}
-	return m.db.Schema().Relations()
-}
-
-// selectCands lists the SELECT-context candidate attributes: every non-key
-// attribute (surrogate key columns are never user-meaningful projections).
-func (m *Mapper) selectCands() []relAttr {
-	if m.index != nil {
-		return m.index.selectAttrs
-	}
-	var out []relAttr
-	for _, q := range m.db.Schema().QualifiedAttributes() {
-		rel, attr, _ := splitQualified(q)
-		if m.db.IsKeyColumn(rel, attr) {
-			continue
-		}
-		out = append(out, relAttr{rel, attr})
-	}
-	return out
-}
-
-// findTextAttrs runs the boolean-mode full-text probe of Algorithm 2.
-func (m *Mapper) findTextAttrs(keyword string) []db.TextMatch {
-	if m.index != nil {
-		return m.index.findTextAttrs(keyword)
-	}
-	return m.db.FindTextAttrs(keyword)
-}
-
-// findNumericAttrs runs the numeric-predicate probe of Algorithm 2.
-func (m *Mapper) findNumericAttrs(n float64, op string) []db.NumericMatch {
-	if m.index != nil {
-		return m.index.findNumericAttrs(n, op)
-	}
-	return m.db.FindNumericAttrs(n, op)
 }
 
 // bestValues keeps the n values most similar to the keyword.
@@ -668,7 +590,6 @@ func (m *Mapper) genAndScoreConfigs(ctx context.Context, perKeyword [][]Mapping,
 	}
 	current := sc.current
 	curIDs := sc.curIDs
-	scratch := sc.frags // reused by the map-backed score path
 	canceled := false
 	emitted := 0
 
@@ -697,7 +618,7 @@ func (m *Mapper) genAndScoreConfigs(ctx context.Context, perKeyword [][]Mapping,
 					return
 				}
 				cfg := Configuration{Mappings: current}
-				m.scoreConfig(&cfg, snap, curIDs, &scratch, opts)
+				m.scoreConfig(&cfg, snap, curIDs, opts)
 				sel.offer(cfg, emitted)
 				emitted++
 				return
@@ -711,7 +632,6 @@ func (m *Mapper) genAndScoreConfigs(ctx context.Context, perKeyword [][]Mapping,
 			}
 		}
 		rec(0)
-		sc.frags = scratch
 		if canceled {
 			return nil, fmt.Errorf("keyword: configuration enumeration canceled after %d configurations: %w", emitted, ctx.Err())
 		}
@@ -738,7 +658,7 @@ func (m *Mapper) genAndScoreConfigs(ctx context.Context, perKeyword [][]Mapping,
 			start := len(backing)
 			backing = append(backing, current...)
 			cfg := Configuration{Mappings: backing[start:len(backing):len(backing)]}
-			m.scoreConfig(&cfg, snap, curIDs, &scratch, opts)
+			m.scoreConfig(&cfg, snap, curIDs, opts)
 			configs = append(configs, cfg)
 			return
 		}
@@ -751,7 +671,6 @@ func (m *Mapper) genAndScoreConfigs(ctx context.Context, perKeyword [][]Mapping,
 		}
 	}
 	rec(0)
-	sc.frags = scratch
 	if canceled {
 		return nil, fmt.Errorf("keyword: configuration enumeration canceled after %d configurations: %w", len(configs), ctx.Err())
 	}
@@ -760,9 +679,8 @@ func (m *Mapper) genAndScoreConfigs(ctx context.Context, perKeyword [][]Mapping,
 }
 
 // scoreConfig fills the three scores of a configuration. ids carries the
-// interned fragment ID per mapping when a snapshot is in use; scratch is a
-// reusable fragment buffer for the map-backed path.
-func (m *Mapper) scoreConfig(cfg *Configuration, snap *qfg.Snapshot, ids []candID, scratch *[]fragment.Fragment, opts Options) {
+// interned fragment ID per mapping when a snapshot is in use.
+func (m *Mapper) scoreConfig(cfg *Configuration, snap *qfg.Snapshot, ids []candID, opts Options) {
 	// Scoreσ: geometric mean of mapping similarities (§V-C1 prefers the
 	// geometric mean to dampen per-keyword score-range variation; the
 	// arithmetic variant is kept for the design ablation).
@@ -786,50 +704,23 @@ func (m *Mapper) scoreConfig(cfg *Configuration, snap *qfg.Snapshot, ids []candI
 
 	// ScoreQFG: geometric mean of Dice over pairs of non-FROM fragments
 	// (§V-C2 excludes relations — they are redundant with the attributes
-	// that force them, and join inference handles them separately). The
-	// snapshot path is the serving hot path: interned IDs against CSR
-	// arrays, no locks, no hashing. The map path is the DisableSnapshot
-	// ablation; both produce bit-identical scores.
-	switch {
-	case snap != nil:
+	// that force them, and join inference handles them separately):
+	// interned IDs against CSR arrays, no locks, no hashing.
+	if snap != nil {
 		m.scoreQFGSnapshot(cfg, snap, ids)
-	case m.graph != nil:
-		m.scoreQFGMap(cfg, scratch, opts)
 	}
 
 	lambda := opts.Lambda
-	if m.graph == nil && m.src == nil {
+	if m.src == nil {
 		lambda = 1
 	}
 	cfg.Score = lambda*cfg.SimScore + (1-lambda)*cfg.QFGScore
 }
 
-// scoreConfigAdhoc scores one standalone configuration, translating its
-// fragments to IDs on the spot (tests and diagnostics; the enumeration in
-// genAndScoreConfigs precomputes IDs for whole candidate sets instead).
-func (m *Mapper) scoreConfigAdhoc(cfg *Configuration) {
-	var snap *qfg.Snapshot
-	if m.src != nil {
-		snap = m.src.CurrentSnapshot()
-	}
-	var ids []candID
-	if snap != nil {
-		ob := snap.Obscurity()
-		ids = make([]candID, len(cfg.Mappings))
-		for i, mp := range cfg.Mappings {
-			if mp.Kind == KindRelation && !m.opts.IncludeFromInQFG {
-				continue
-			}
-			ids[i] = candID{id: snap.Lookup(mp.Fragment(ob)), use: true}
-		}
-	}
-	var scratch []fragment.Fragment
-	m.scoreConfig(cfg, snap, ids, &scratch, m.opts)
-}
-
 // scoreQFGSnapshot computes ScoreQFG with interned-ID probes against the
-// immutable snapshot. The pair iteration order matches scoreQFGMap exactly,
-// so the floating-point accumulation is bit-identical.
+// immutable snapshot. Pairs are visited in mapping order (i < j), the same
+// order a Graph.Dice recomputation over the configuration's fragments
+// uses, so the floating-point accumulation is bit-identical to it.
 func (m *Mapper) scoreQFGSnapshot(cfg *Configuration, snap *qfg.Snapshot, ids []candID) {
 	nqf, pairs := 0, 0
 	diceLog := 0.0
@@ -860,46 +751,6 @@ func (m *Mapper) scoreQFGSnapshot(cfg *Configuration, snap *qfg.Snapshot, ids []
 		// marginal evidence: relative frequency in the log.
 		if q := snap.Queries(); q > 0 {
 			cfg.QFGScore = float64(snap.OccurrencesID(soleID)) / float64(q)
-		}
-	case pairs == 0:
-		cfg.QFGScore = 0
-	case zero:
-		cfg.QFGScore = 0
-	default:
-		cfg.QFGScore = math.Exp(diceLog / float64(pairs))
-	}
-}
-
-// scoreQFGMap computes ScoreQFG through the mutable Graph's mutex and maps
-// (the seed path, kept behind Options.DisableSnapshot for parity tests and
-// the ranking benchmark).
-func (m *Mapper) scoreQFGMap(cfg *Configuration, scratch *[]fragment.Fragment, opts Options) {
-	frags := (*scratch)[:0]
-	for _, mp := range cfg.Mappings {
-		if mp.Kind == KindRelation && !opts.IncludeFromInQFG {
-			continue
-		}
-		frags = append(frags, mp.Fragment(opts.Obscurity))
-	}
-	*scratch = frags
-	pairs := 0
-	diceLog := 0.0
-	zero := false
-	for i := 0; i < len(frags); i++ {
-		for j := i + 1; j < len(frags); j++ {
-			d := m.graph.Dice(frags[i], frags[j])
-			pairs++
-			if d <= 0 {
-				zero = true
-				continue
-			}
-			diceLog += math.Log(d)
-		}
-	}
-	switch {
-	case pairs == 0 && len(frags) == 1:
-		if q := m.graph.Queries(); q > 0 {
-			cfg.QFGScore = float64(m.graph.Occurrences(frags[0])) / float64(q)
 		}
 	case pairs == 0:
 		cfg.QFGScore = 0

@@ -67,12 +67,11 @@ func paperishLog(t testing.TB, ob fragment.Obscurity) *qfg.Graph {
 func newMapper(t testing.TB, withQFG bool, opts Options) *Mapper {
 	t.Helper()
 	d := masMini(t)
-	var graph *qfg.Graph
+	var src qfg.SnapshotSource
 	if withQFG {
-		ob := opts.Obscurity
-		graph = paperishLog(t, ob)
+		src = paperishLog(t, opts.Obscurity).Snapshot(nil)
 	}
-	return NewMapper(d, embedding.New(), graph, opts)
+	return NewMapper(d, embedding.New(), src, opts)
 }
 
 func TestExtractNumber(t *testing.T) {

@@ -1,0 +1,178 @@
+package keyword_test
+
+import (
+	"math"
+	"reflect"
+	"strings"
+	"testing"
+
+	"templar/internal/datasets"
+	"templar/internal/embedding"
+	"templar/internal/fragment"
+	"templar/internal/keyword"
+	"templar/internal/qfg"
+	"templar/internal/sqlparse"
+)
+
+// goldLog mines the dataset's complete gold-SQL log at one obscurity level.
+func goldLog(t *testing.T, ds *datasets.Dataset, ob fragment.Obscurity) *qfg.Graph {
+	t.Helper()
+	entries := make([]sqlparse.LogEntry, 0, len(ds.Tasks))
+	for _, task := range ds.Tasks {
+		q, err := sqlparse.Parse(task.Gold)
+		if err != nil {
+			t.Fatalf("%s: %v", task.ID, err)
+		}
+		entries = append(entries, sqlparse.LogEntry{Query: q, Count: 1})
+	}
+	g, err := qfg.Build(entries, ob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// sameMatches compares probe results, treating nil and empty as equal.
+func sameMatches(a, b any) bool {
+	if reflect.ValueOf(a).Len() == 0 && reflect.ValueOf(b).Len() == 0 {
+		return true
+	}
+	return reflect.DeepEqual(a, b)
+}
+
+// TestCandidateIndexMatchesDatabaseProbes pins the mapper's precomputed
+// candidate index to the database probes of Algorithm 2 it replaces: for
+// every keyword of every benchmark task, the full-text and numeric probes
+// (every operator) must return exactly db.FindTextAttrs/FindNumericAttrs —
+// same matches, same values, same order — and the FROM and SELECT
+// candidate lists must be the schema's relations and non-key attributes.
+func TestCandidateIndexMatchesDatabaseProbes(t *testing.T) {
+	for _, ds := range datasets.All() {
+		ds := ds
+		t.Run(ds.Name, func(t *testing.T) {
+			m := keyword.NewMapper(ds.DB, embedding.New(), nil, keyword.Options{})
+			if got, want := m.IndexFromRels(), ds.DB.Schema().Relations(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("FROM candidates = %v, want %v", got, want)
+			}
+			var nonKey []string
+			for _, q := range ds.DB.Schema().QualifiedAttributes() {
+				rel, attr, _ := strings.Cut(q, ".")
+				if !ds.DB.IsKeyColumn(rel, attr) {
+					nonKey = append(nonKey, q)
+				}
+			}
+			if got := m.IndexSelectAttrs(); !reflect.DeepEqual(got, nonKey) {
+				t.Fatalf("SELECT candidates = %v, want %v", got, nonKey)
+			}
+			probes := 0
+			for _, task := range ds.Tasks {
+				for _, kw := range task.Keywords {
+					if got, want := m.IndexTextAttrs(kw.Text), ds.DB.FindTextAttrs(kw.Text); !sameMatches(got, want) {
+						t.Fatalf("%s: text probe %q = %v, want %v", task.ID, kw.Text, got, want)
+					}
+					n, ok := keyword.ExtractNumber(kw.Text)
+					if !ok {
+						continue
+					}
+					for _, op := range []string{"", "=", "!=", "<", "<=", ">", ">="} {
+						// The keyword's own value plus its neighbours, so
+						// both sides of every attribute extreme are probed.
+						for _, x := range []float64{n - 1, n, n + 1} {
+							if got, want := m.IndexNumericAttrs(x, op), ds.DB.FindNumericAttrs(x, op); !sameMatches(got, want) {
+								t.Fatalf("%s: numeric probe %v %q = %v, want %v", task.ID, x, op, got, want)
+							}
+							probes++
+						}
+					}
+				}
+			}
+			if probes == 0 {
+				t.Fatal("no numeric keywords probed")
+			}
+		})
+	}
+}
+
+// graphQFGScore recomputes ScoreQFG (§V-C2) from the mutable graph's
+// fragment-keyed Dice, Occurrences and Queries: the geometric mean of Dice
+// over the pairs of participating fragments (non-FROM unless includeFrom)
+// in mapping order (i < j), the marginal frequency for a lone fragment,
+// and 0 when any pair never co-occurs.
+func graphQFGScore(g *qfg.Graph, cfg keyword.Configuration, includeFrom bool) float64 {
+	var frags []fragment.Fragment
+	for _, mp := range cfg.Mappings {
+		if includeFrom || mp.Kind != keyword.KindRelation {
+			frags = append(frags, mp.Fragment(g.Obscurity()))
+		}
+	}
+	pairs, diceLog, zero := 0, 0.0, false
+	for i := range frags {
+		for j := i + 1; j < len(frags); j++ {
+			d := g.Dice(frags[i], frags[j])
+			pairs++
+			if d <= 0 {
+				zero = true
+				continue
+			}
+			diceLog += math.Log(d)
+		}
+	}
+	switch {
+	case pairs == 0 && len(frags) == 1:
+		if q := g.Queries(); q > 0 {
+			return float64(g.Occurrences(frags[0])) / float64(q)
+		}
+		return 0
+	case pairs == 0, zero:
+		return 0
+	}
+	return math.Exp(diceLog / float64(pairs))
+}
+
+// TestSnapshotQFGScoreMatchesGraphDice pins the one scoring path — interned
+// IDs probed against the compiled snapshot — to the map-backed Graph.Dice
+// reference: for every benchmark task at every obscurity level, with and
+// without the IncludeFromInQFG ablation, every returned configuration's
+// QFGScore must be bit-identical to the recomputation above.
+func TestSnapshotQFGScoreMatchesGraphDice(t *testing.T) {
+	for _, ds := range datasets.All() {
+		ds := ds
+		t.Run(ds.Name, func(t *testing.T) {
+			for _, ob := range []fragment.Obscurity{fragment.Full, fragment.NoConst, fragment.NoConstOp} {
+				g := goldLog(t, ds, ob)
+				snap := g.Snapshot(nil)
+				for _, includeFrom := range []bool{false, true} {
+					m := keyword.NewMapper(ds.DB, embedding.New(), snap, keyword.Options{IncludeFromInQFG: includeFrom})
+					scored := 0
+					for _, task := range ds.Tasks {
+						// The benchmark keywords carry no FROM context, so
+						// each task is also mapped with a FROM-context copy
+						// of its first keyword to put relations into the
+						// configurations.
+						from := keyword.Keyword{Text: task.Keywords[0].Text, Meta: keyword.Metadata{Context: fragment.From}}
+						var cfgs []keyword.Configuration
+						for _, kws := range [][]keyword.Keyword{task.Keywords, append([]keyword.Keyword{from}, task.Keywords...)} {
+							more, err := m.MapKeywords(kws)
+							if err == nil {
+								cfgs = append(cfgs, more...)
+							}
+						}
+						for _, cfg := range cfgs {
+							want := graphQFGScore(g, cfg, includeFrom)
+							if math.Float64bits(cfg.QFGScore) != math.Float64bits(want) {
+								t.Fatalf("%v includeFrom=%v %s: QFGScore = %v, Graph.Dice recomputation = %v\n%v",
+									ob, includeFrom, task.ID, cfg.QFGScore, want, cfg.Mappings)
+							}
+							if cfg.QFGScore > 0 {
+								scored++
+							}
+						}
+					}
+					if scored == 0 {
+						t.Fatalf("%v includeFrom=%v: no configuration carried log evidence", ob, includeFrom)
+					}
+				}
+			}
+		})
+	}
+}

@@ -3,8 +3,6 @@ package keyword
 import (
 	"sort"
 	"sync"
-
-	"templar/internal/fragment"
 )
 
 // topkSel is a bounded top-k configuration selector: it keeps the k best
@@ -144,7 +142,6 @@ type mapScratch struct {
 	idRows     [][]candID // retained backing for perIDs rows
 	current    []Mapping
 	curIDs     []candID
-	frags      []fragment.Fragment // map-backed score path buffer
 	sel        topkSel
 }
 

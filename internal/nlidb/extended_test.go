@@ -91,7 +91,7 @@ func TestBuildSQLDuplicateAttrOverflowClamped(t *testing.T) {
 
 func TestTranslationScoreConsistency(t *testing.T) {
 	d := exampleDB(t)
-	sys := NewPipelinePlus(d, embedding.New(), exampleQFG(t), true, keyword.Options{Obscurity: fragment.NoConstOp})
+	sys := pipelinePlus(d, exampleQFG(t))
 	tr, err := sys.Translate("Find papers in the Databases domain", false, exampleKeywords())
 	if err != nil {
 		t.Fatal(err)

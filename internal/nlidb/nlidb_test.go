@@ -75,9 +75,9 @@ func exampleDB(t testing.TB) *db.Database {
 	return d
 }
 
-// exampleQFG mines a log in which publications are queried with domains via
+// exampleQFG compiles a log in which publications are queried with domains via
 // the keyword path, and titles co-occur with domain-name predicates.
-func exampleQFG(t testing.TB) *qfg.Graph {
+func exampleQFG(t testing.TB) *qfg.Snapshot {
 	t.Helper()
 	log := `
 20x: SELECT j.name FROM journal j
@@ -93,7 +93,16 @@ func exampleQFG(t testing.TB) *qfg.Graph {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return g
+	return g.Snapshot(nil)
+}
+
+// pipelinePlus is the Templar-augmented pipeline of §VII-A2 over snap.
+func pipelinePlus(d *db.Database, snap *qfg.Snapshot) *System {
+	return NewSystem("Pipeline+", d, embedding.New(), Config{
+		Keyword: keyword.Options{Obscurity: fragment.NoConstOp},
+		QFG:     snap,
+		LogJoin: true,
+	})
 }
 
 func exampleKeywords() []keyword.Keyword {
@@ -176,7 +185,7 @@ func TestPipelineBaselineReproducesExample1Failure(t *testing.T) {
 	// Example 1: the baseline maps "papers" to journal and produces the
 	// unintended journal–domain query.
 	d := exampleDB(t)
-	sys := NewPipeline(d, embedding.New(), keyword.Options{})
+	sys := NewSystem("Pipeline", d, embedding.New(), Config{})
 	tr, err := sys.Translate("Find papers in the Databases domain", false, exampleKeywords())
 	if err != nil {
 		t.Fatal(err)
@@ -194,7 +203,7 @@ func TestPipelinePlusReproducesExample3Fix(t *testing.T) {
 	// join path goes publication–publication_keyword–keyword–
 	// domain_keyword–domain.
 	d := exampleDB(t)
-	sys := NewPipelinePlus(d, embedding.New(), exampleQFG(t), true, keyword.Options{Obscurity: fragment.NoConstOp})
+	sys := pipelinePlus(d, exampleQFG(t))
 	tr, err := sys.Translate("Find papers in the Databases domain", false, exampleKeywords())
 	if err != nil {
 		t.Fatal(err)
@@ -216,7 +225,7 @@ func TestSelfJoinTranslationExample7(t *testing.T) {
 	// "Find papers written by both John and Jane" — two predicates on
 	// author.name force a self-join through two writes instances.
 	d := exampleDB(t)
-	sys := NewPipeline(d, embedding.New(), keyword.Options{})
+	sys := NewSystem("Pipeline", d, embedding.New(), Config{})
 	kws := []keyword.Keyword{
 		{Text: "papers", Meta: keyword.Metadata{Context: fragment.Select}},
 		{Text: "John Smith", Meta: keyword.Metadata{Context: fragment.Where}},
@@ -300,7 +309,7 @@ func TestParserNoiseRates(t *testing.T) {
 func TestNaLIRWeakerThanPipelinePlus(t *testing.T) {
 	d := exampleDB(t)
 	g := exampleQFG(t)
-	nalir := NewNaLIR(d, &ParserNoise{BaseRate: 100, HazardRate: 100}, keyword.Options{})
+	nalir := NewSystem("NaLIR", d, embedding.NewLexiconOnly(), Config{Noise: &ParserNoise{BaseRate: 100, HazardRate: 100}})
 	// Find an NLQ whose deterministic corruption draw is mutation 0
 	// (metadata loss), which destroys the aggregate and operator below.
 	nlq := ""
@@ -320,7 +329,7 @@ func TestNaLIRWeakerThanPipelinePlus(t *testing.T) {
 	want := sqlparse.MustParse("SELECT COUNT(p.title) FROM publication p WHERE p.year > 2000")
 	_ = want.Resolve(nil)
 
-	plus := NewPipelinePlus(d, embedding.New(), g, true, keyword.Options{Obscurity: fragment.NoConstOp})
+	plus := pipelinePlus(d, g)
 	trP, errP := plus.Translate(nlq, false, kws)
 	if errP != nil {
 		t.Fatal(errP)
@@ -347,7 +356,7 @@ func TestTranslateTieDetection(t *testing.T) {
 	}})
 	d := db.New(g)
 	d.MustInsert("a", []db.Value{db.Num(1), db.Str("same value"), db.Str("same value")})
-	sys := NewPipeline(d, embedding.New(), keyword.Options{})
+	sys := NewSystem("Pipeline", d, embedding.New(), Config{})
 	kws := []keyword.Keyword{
 		{Text: "same value", Meta: keyword.Metadata{Context: fragment.Where}},
 	}
@@ -362,7 +371,7 @@ func TestTranslateTieDetection(t *testing.T) {
 
 func TestTranslateNoKeywords(t *testing.T) {
 	d := exampleDB(t)
-	sys := NewPipeline(d, embedding.New(), keyword.Options{})
+	sys := NewSystem("Pipeline", d, embedding.New(), Config{})
 	if _, err := sys.Translate("", false, nil); err == nil {
 		t.Fatal("expected error for empty keywords")
 	}
@@ -370,25 +379,20 @@ func TestTranslateNoKeywords(t *testing.T) {
 
 func TestSystemNames(t *testing.T) {
 	d := exampleDB(t)
-	g := exampleQFG(t)
 	m := embedding.New()
-	if NewPipeline(d, m, keyword.Options{}).Name() != "Pipeline" {
-		t.Fatal("Pipeline name")
+	for _, name := range []string{"Pipeline", "Pipeline+", "NaLIR", "NaLIR+"} {
+		if got := NewSystem(name, d, m, Config{QFG: exampleQFG(t)}).Name(); got != name {
+			t.Fatalf("NewSystem name = %q, want %q", got, name)
+		}
 	}
-	if NewPipelinePlus(d, m, g, true, keyword.Options{}).Name() != "Pipeline+" {
-		t.Fatal("Pipeline+ name")
-	}
-	if NewNaLIR(d, nil, keyword.Options{}).Name() != "NaLIR" {
-		t.Fatal("NaLIR name")
-	}
-	if NewNaLIRPlus(d, m, g, nil, keyword.Options{}).Name() != "NaLIR+" {
-		t.Fatal("NaLIR+ name")
+	if got := NewFromParts("Templar", keyword.NewMapper(d, m, nil, keyword.Options{}), joinpath.NewGenerator(d.Schema(), nil), Config{}).Name(); got != "Templar" {
+		t.Fatalf("NewFromParts name = %q", got)
 	}
 }
 
 func BenchmarkTranslatePipelinePlus(b *testing.B) {
 	d := exampleDB(b)
-	sys := NewPipelinePlus(d, embedding.New(), exampleQFG(b), true, keyword.Options{Obscurity: fragment.NoConstOp})
+	sys := pipelinePlus(d, exampleQFG(b))
 	kws := exampleKeywords()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -398,46 +402,51 @@ func BenchmarkTranslatePipelinePlus(b *testing.B) {
 	}
 }
 
-// TestNewSystemFromSnapshotMatchesNewSystem pins the snapshot-backed
-// constructor (the store cold-start wiring) to the graph-backed one: both
-// must produce identical configurations and translations.
-func TestNewSystemFromSnapshotMatchesNewSystem(t *testing.T) {
+// TestNewSystemMatchesNewFromParts pins NewSystem's wiring to the parts
+// a serving layer assembles by hand: a mapper over the snapshot and a
+// generator with LogWeights from that same snapshot must produce identical
+// configurations and translations, with the same TopConfigs/TopPaths
+// defaults.
+func TestNewSystemMatchesNewFromParts(t *testing.T) {
 	d := exampleDB(t)
-	graph := exampleQFG(t)
-	cfg := Config{Keyword: keyword.Options{Obscurity: fragment.NoConstOp}, LogJoin: true}
-	built := NewSystem("Pipeline+", d, embedding.New(), Config{
-		Keyword: cfg.Keyword, QFG: graph, LogJoin: true,
-	})
-	loaded := NewSystemFromSnapshot("Pipeline+", d, embedding.New(), graph.Snapshot(nil), cfg)
+	snap := exampleQFG(t)
+	kwOpts := keyword.Options{Obscurity: fragment.NoConstOp}
+	built := NewSystem("Pipeline+", d, embedding.New(), Config{Keyword: kwOpts, QFG: snap, LogJoin: true})
+	parts := NewFromParts("Pipeline+", keyword.NewMapper(d, embedding.New(), snap, kwOpts),
+		joinpath.NewGenerator(d.Schema(), joinpath.LogWeights(snap)), Config{})
 
 	kws := exampleKeywords()
-	wantCfg, wantErr := built.TopMappings("", false, kws)
-	gotCfg, gotErr := loaded.TopMappings("", false, kws)
+	wantCfg, wantErr := parts.TopMappings("", false, kws)
+	gotCfg, gotErr := built.TopMappings("", false, kws)
 	if (gotErr == nil) != (wantErr == nil) {
-		t.Fatalf("error mismatch: snapshot=%v graph=%v", gotErr, wantErr)
+		t.Fatalf("error mismatch: NewSystem=%v NewFromParts=%v", gotErr, wantErr)
 	}
 	if !reflect.DeepEqual(gotCfg, wantCfg) {
-		t.Fatalf("configurations diverged:\nsnapshot: %v\ngraph:    %v", gotCfg, wantCfg)
+		t.Fatalf("configurations diverged:\nNewSystem:    %v\nNewFromParts: %v", gotCfg, wantCfg)
 	}
-	wantTr, err := built.Translate("", false, kws)
+	wantTr, err := parts.Translate("", false, kws)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotTr, err := loaded.Translate("", false, kws)
+	gotTr, err := built.Translate("", false, kws)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(gotTr, wantTr) {
-		t.Fatalf("translations diverged:\nsnapshot: %+v\ngraph:    %+v", gotTr, wantTr)
+		t.Fatalf("translations diverged:\nNewSystem:    %+v\nNewFromParts: %+v", gotTr, wantTr)
 	}
 
-	// Nil snapshot degrades to the log-free baseline.
-	baseline := NewSystemFromSnapshot("Pipeline", d, embedding.New(), nil, Config{Keyword: cfg.Keyword})
-	cfgs, err := baseline.TopMappings("", false, kws)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfgs[0].QFGScore != 0 {
-		t.Fatal("nil snapshot must yield zero log score")
+	// A nil snapshot, typed or not, degrades to the log-free baseline.
+	for _, baseline := range []*System{
+		NewSystem("Pipeline", d, embedding.New(), Config{Keyword: kwOpts}),
+		NewSystem("Pipeline", d, embedding.New(), Config{Keyword: kwOpts, QFG: (*qfg.Snapshot)(nil), LogJoin: true}),
+	} {
+		cfgs, err := baseline.TopMappings("", false, kws)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cfgs[0].QFGScore != 0 || cfgs[0].Score != cfgs[0].SimScore {
+			t.Fatalf("nil snapshot must yield the λ=1 baseline: %+v", cfgs[0])
+		}
 	}
 }

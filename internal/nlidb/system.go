@@ -8,7 +8,6 @@ import (
 
 	"templar/internal/db"
 	"templar/internal/embedding"
-	"templar/internal/fragment"
 	"templar/internal/joinpath"
 	"templar/internal/keyword"
 	"templar/internal/qfg"
@@ -49,8 +48,10 @@ func (s *System) Name() string { return s.name }
 type Config struct {
 	// Keyword configures κ, λ, obscurity for the mapper.
 	Keyword keyword.Options
-	// QFG enables log-driven keyword-mapping scores when non-nil.
-	QFG *qfg.Graph
+	// QFG is the compiled query log: log-driven keyword-mapping scores
+	// and, with LogJoin, join weights derive from it. nil gives the
+	// log-free baseline.
+	QFG *qfg.Snapshot
 	// LogJoin switches join inference to log-driven edge weights.
 	LogJoin bool
 	// JoinWeights, when non-nil, overrides the join weight function
@@ -62,57 +63,30 @@ type Config struct {
 	// construction. Default 8.
 	TopConfigs int
 	// TopPaths bounds how many join paths are considered per
-	// configuration. Default 1 (systems take the best path).
+	// configuration. Default 3, so equal-weight rival paths surface as
+	// ties.
 	TopPaths int
 }
 
-// QFGParts is the QFG wiring shared by NewSystem and templar.New. With a
-// graph (and the snapshot ablation off) it compiles one immutable
-// interned-ID snapshot shared by both consumers — the keyword mapper ranks
-// configurations against it and, when logJoin is set, the join weight
-// function derives Dice from it at generator build time. On the
-// DisableSnapshot ablation (or with no graph) the mapper and weights read
-// the map-backed graph, and the returned snapshot is nil.
-func QFGParts(database *db.Database, model *embedding.Model, graph *qfg.Graph, opts keyword.Options, logJoin bool) (*keyword.Mapper, *qfg.Snapshot, joinpath.WeightFunc) {
-	var w joinpath.WeightFunc
-	if graph != nil && !opts.DisableSnapshot {
-		snap := graph.Snapshot(nil)
-		if logJoin {
-			w = joinpath.LogWeights(snap)
-		}
-		return keyword.NewSnapshotMapper(database, model, snap, opts), snap, w
-	}
-	if logJoin && graph != nil {
-		w = joinpath.LogWeights(graph)
-	}
-	return keyword.NewMapper(database, model, graph, opts), nil, w
-}
-
-// NewSystemFromSnapshot assembles a named NLIDB over a precompiled QFG
-// snapshot — e.g. one loaded from a packed internal/store archive — instead
-// of a builder graph: the mapper ranks against the snapshot, and with
-// cfg.LogJoin the join weights derive from it at generator build time.
-// cfg.QFG is ignored; cfg.JoinWeights still overrides the weight function.
-func NewSystemFromSnapshot(name string, database *db.Database, model *embedding.Model, snap *qfg.Snapshot, cfg Config) *System {
-	if snap == nil {
-		cfg.QFG = nil
-		return NewSystem(name, database, model, cfg)
-	}
-	mapper := keyword.NewSnapshotMapper(database, model, snap, cfg.Keyword)
+// NewSystem assembles a named NLIDB: a keyword mapper ranking against the
+// compiled cfg.QFG snapshot (nil for the log-free baseline) and a join
+// generator whose weights are cfg.JoinWeights, else LogWeights over the
+// snapshot when cfg.LogJoin is set, else uniform.
+func NewSystem(name string, database *db.Database, model *embedding.Model, cfg Config) *System {
+	mapper := keyword.NewMapper(database, model, cfg.QFG, cfg.Keyword)
 	w := cfg.JoinWeights
-	if w == nil && cfg.LogJoin {
-		w = joinpath.LogWeights(snap)
+	if w == nil && cfg.LogJoin && cfg.QFG != nil {
+		w = joinpath.LogWeights(cfg.QFG)
 	}
 	return NewFromParts(name, mapper, joinpath.NewGenerator(database.Schema(), w), cfg)
 }
 
-// NewSystem assembles a named NLIDB over the shared QFGParts wiring.
-func NewSystem(name string, database *db.Database, model *embedding.Model, cfg Config) *System {
-	mapper, _, derived := QFGParts(database, model, cfg.QFG, cfg.Keyword, cfg.LogJoin)
-	w := cfg.JoinWeights
-	if w == nil {
-		w = derived
-	}
+// NewFromParts assembles a System around a prebuilt mapper and join-path
+// generator, so a serving layer can run translation through the same
+// index/cache-backed components it uses for direct mapping calls. The
+// Keyword, QFG, LogJoin and JoinWeights fields of cfg are ignored — they
+// are already baked into the parts; Noise, TopConfigs and TopPaths apply.
+func NewFromParts(name string, mapper *keyword.Mapper, joins *joinpath.Generator, cfg Config) *System {
 	if cfg.TopConfigs <= 0 {
 		cfg.TopConfigs = 8
 	}
@@ -126,58 +100,11 @@ func NewSystem(name string, database *db.Database, model *embedding.Model, cfg C
 	return &System{
 		name:       name,
 		mapper:     mapper,
-		joins:      joinpath.NewGenerator(database.Schema(), w),
-		noise:      cfg.Noise,
-		topConfigs: cfg.TopConfigs,
-		topPaths:   cfg.TopPaths,
-	}
-}
-
-// NewFromParts assembles a System around a prebuilt mapper and join-path
-// generator, so a serving layer can run translation through the same
-// index/cache-backed components it uses for direct mapping calls. The
-// Keyword, QFG, LogJoin and JoinWeights fields of cfg are ignored — they
-// are already baked into the parts; Noise, TopConfigs and TopPaths apply.
-func NewFromParts(name string, mapper *keyword.Mapper, joins *joinpath.Generator, cfg Config) *System {
-	if cfg.TopConfigs <= 0 {
-		cfg.TopConfigs = 8
-	}
-	if cfg.TopPaths <= 0 {
-		cfg.TopPaths = 3
-	}
-	return &System{
-		name:       name,
-		mapper:     mapper,
 		joins:      joins,
 		noise:      cfg.Noise,
 		topConfigs: cfg.TopConfigs,
 		topPaths:   cfg.TopPaths,
 	}
-}
-
-// NewPipeline builds the SQLizer-style baseline of §VII-A2: word-embedding
-// keyword mapping with no log information and minimum-length join paths.
-func NewPipeline(database *db.Database, model *embedding.Model, opts keyword.Options) *System {
-	return NewSystem("Pipeline", database, model, Config{Keyword: opts})
-}
-
-// NewPipelinePlus builds Pipeline augmented with Templar. logJoin toggles
-// Table IV's LogJoin switch; keyword mapping always uses the QFG.
-func NewPipelinePlus(database *db.Database, model *embedding.Model, graph *qfg.Graph, logJoin bool, opts keyword.Options) *System {
-	return NewSystem("Pipeline+", database, model, Config{Keyword: opts, QFG: graph, LogJoin: logJoin})
-}
-
-// NewNaLIR builds the NaLIR-style baseline: lexicon-only (WordNet-like)
-// similarity, preset uniform join weights, and a noisy parser front-end
-// reproducing the §VII-C failure modes.
-func NewNaLIR(database *db.Database, noise *ParserNoise, opts keyword.Options) *System {
-	return NewSystem("NaLIR", database, embedding.NewLexiconOnly(), Config{Keyword: opts, Noise: noise})
-}
-
-// NewNaLIRPlus builds NaLIR augmented with Templar: the same noisy parser
-// front-end, with keyword mapping and join inference deferred to Templar.
-func NewNaLIRPlus(database *db.Database, model *embedding.Model, graph *qfg.Graph, noise *ParserNoise, opts keyword.Options) *System {
-	return NewSystem("NaLIR+", database, model, Config{Keyword: opts, QFG: graph, LogJoin: true, Noise: noise})
 }
 
 // CallOptions are per-request overrides of a System's construction-time
@@ -230,9 +157,6 @@ func (s *System) TranslateCtx(ctx context.Context, nlq string, hazard bool, kws 
 	configs, err := s.mapper.MapKeywordsCtx(ctx, kws, kco)
 	if err != nil {
 		return nil, err
-	}
-	if len(configs) > topConfigs {
-		configs = configs[:topConfigs]
 	}
 	// Ranking follows the pipeline architecture (§III-F): the keyword
 	// mapping configuration ranks first; among equally-likely
@@ -353,6 +277,3 @@ func (s *System) TopMappings(nlq string, hazard bool, kws []keyword.Keyword) ([]
 	}
 	return s.mapper.MapKeywords(kws)
 }
-
-// ObscurityOf reports the obscurity the underlying mapper uses (diagnostic).
-func ObscurityOf(opts keyword.Options) fragment.Obscurity { return opts.Obscurity }

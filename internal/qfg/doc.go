@@ -14,7 +14,10 @@
 // Graph is the mutable builder: fragment-keyed maps behind an RWMutex,
 // grown by AddQuery/AddQueries/AddSession and inspected with Occurrences,
 // CoOccurrences, Dice, Top and Neighbors. Build mines a parsed log in one
-// call.
+// call. No request is ever scored through a Graph: its Dice, Occurrences
+// and Queries are the reference the parity tests here and in
+// internal/keyword hold the snapshot scoring path to, and what the
+// examples and qfg-inspect print.
 //
 // Snapshot is the immutable compiled view serving reads come from:
 // fragments interned to dense uint32 IDs (fragment.Interner), nv in a flat
@@ -27,7 +30,10 @@
 // mutate the builder and republish copy-on-write, readers load the current
 // snapshot with one atomic pointer read and are never blocked. The
 // SnapshotSource interface abstracts "a place the current snapshot comes
-// from" — a fixed *Snapshot and a *Live both satisfy it.
+// from" — a fixed *Snapshot and a *Live both satisfy it, and it is the one
+// argument the keyword mapper and the templar engine take for their log.
+// NonNilSource folds a typed nil *Snapshot or *Live into a nil source, the
+// log-free baseline.
 //
 // # Persistence
 //

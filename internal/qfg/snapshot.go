@@ -46,6 +46,23 @@ type SnapshotSource interface {
 // SnapshotSource for consumers that never see log appends.
 func (s *Snapshot) CurrentSnapshot() *Snapshot { return s }
 
+// NonNilSource returns src, or nil when src is nil or wraps a nil *Live or
+// *Snapshot, so consumers can treat "no query log" as one nil check even
+// when a caller hands them a typed nil pointer.
+func NonNilSource(src SnapshotSource) SnapshotSource {
+	switch s := src.(type) {
+	case *Live:
+		if s == nil {
+			return nil
+		}
+	case *Snapshot:
+		if s == nil {
+			return nil
+		}
+	}
+	return src
+}
+
 // internFragments interns the graph's current fragment set into in, in
 // sorted order — exactly the ID assignment Snapshot performs — without
 // paying for a compile. Live.Replay uses it to reproduce, per replayed

@@ -207,7 +207,7 @@ func TestStoreLoadedEngineParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	loadedSys := templar.NewFromSnapshot(ds.DB, embedding.New(), ar.Snapshot, templar.Options{LogJoin: true})
+	loadedSys := templar.NewLive(ds.DB, embedding.New(), ar.Snapshot, templar.Options{LogJoin: true})
 
 	built := httptest.NewServer(NewServer(builtSys, ds.Name, 2).Handler())
 	t.Cleanup(built.Close)

@@ -43,7 +43,7 @@ func buildGraph(t testing.TB, ds *datasets.Dataset) *qfg.Graph {
 // the QFG trained from the full gold-SQL log.
 func buildSystem(t testing.TB, ds *datasets.Dataset, opts keyword.Options) *templar.System {
 	t.Helper()
-	return templar.New(ds.DB, embedding.New(), buildGraph(t, ds), templar.Options{Keyword: opts, LogJoin: true})
+	return templar.NewLive(ds.DB, embedding.New(), buildGraph(t, ds).Snapshot(nil), templar.Options{Keyword: opts, LogJoin: true})
 }
 
 // buildLiveSystem is buildSystem over a live (appendable) log.
@@ -467,38 +467,6 @@ func TestCanceledRequestContext(t *testing.T) {
 	}
 }
 
-// TestSnapshotMapperMatchesMapPath is the consumer-level parity gate for
-// the interned-fragment snapshot: for every benchmark task of every
-// dataset, configurations and translations ranked against the compiled
-// snapshot must equal the map-backed QFG path exactly.
-func TestSnapshotMapperMatchesMapPath(t *testing.T) {
-	for _, ds := range datasets.All() {
-		ds := ds
-		t.Run(ds.Name, func(t *testing.T) {
-			snapshot := buildSystem(t, ds, keyword.Options{})
-			mapped := buildSystem(t, ds, keyword.Options{DisableSnapshot: true})
-			for _, task := range ds.Tasks {
-				gotCfg, gotErr := snapshot.MapKeywords(context.Background(), task.Keywords, nil)
-				wantCfg, wantErr := mapped.MapKeywords(context.Background(), task.Keywords, nil)
-				if (gotErr == nil) != (wantErr == nil) {
-					t.Fatalf("%s: error mismatch: snapshot=%v map=%v", task.ID, gotErr, wantErr)
-				}
-				if !reflect.DeepEqual(gotCfg, wantCfg) {
-					t.Fatalf("%s: configurations diverged\nsnapshot: %v\nmap:      %v", task.ID, gotCfg, wantCfg)
-				}
-				gotTr, gotErr := snapshot.Translate(context.Background(), task.Keywords, nil)
-				wantTr, wantErr := mapped.Translate(context.Background(), task.Keywords, nil)
-				if (gotErr == nil) != (wantErr == nil) {
-					t.Fatalf("%s: translate error mismatch: snapshot=%v map=%v", task.ID, gotErr, wantErr)
-				}
-				if !reflect.DeepEqual(gotTr, wantTr) {
-					t.Fatalf("%s: translations diverged\nsnapshot: %+v\nmap:      %+v", task.ID, gotTr, wantTr)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkTranslateEndToEnd measures POST /v1/translate through the full
 // handler stack (decode, pool, mapper, join inference, SQL construction,
 // encode) with the snapshot-backed scoring path.
@@ -522,37 +490,5 @@ func BenchmarkTranslateEndToEnd(b *testing.B) {
 		if rec.Code != http.StatusOK {
 			b.Fatalf("status %d: %s", rec.Code, rec.Body.String())
 		}
-	}
-}
-
-// TestIndexedMapperMatchesSeedPath verifies the hot-path refactor changes
-// nothing observable: for every benchmark task of every dataset, the
-// indexed/cached mapper must return exactly the configurations (and the
-// translator exactly the translation) of the seed per-call scan path.
-func TestIndexedMapperMatchesSeedPath(t *testing.T) {
-	for _, ds := range datasets.All() {
-		ds := ds
-		t.Run(ds.Name, func(t *testing.T) {
-			indexed := buildSystem(t, ds, keyword.Options{})
-			seed := buildSystem(t, ds, keyword.Options{DisableIndex: true})
-			for _, task := range ds.Tasks {
-				gotCfg, gotErr := indexed.MapKeywords(context.Background(), task.Keywords, nil)
-				wantCfg, wantErr := seed.MapKeywords(context.Background(), task.Keywords, nil)
-				if (gotErr == nil) != (wantErr == nil) {
-					t.Fatalf("%s: error mismatch: indexed=%v seed=%v", task.ID, gotErr, wantErr)
-				}
-				if !reflect.DeepEqual(gotCfg, wantCfg) {
-					t.Fatalf("%s: configurations diverged\nindexed: %v\nseed:    %v", task.ID, gotCfg, wantCfg)
-				}
-				gotTr, gotErr := indexed.Translate(context.Background(), task.Keywords, nil)
-				wantTr, wantErr := seed.Translate(context.Background(), task.Keywords, nil)
-				if (gotErr == nil) != (wantErr == nil) {
-					t.Fatalf("%s: translate error mismatch: indexed=%v seed=%v", task.ID, gotErr, wantErr)
-				}
-				if !reflect.DeepEqual(gotTr, wantTr) {
-					t.Fatalf("%s: translations diverged\nindexed: %+v\nseed:    %+v", task.ID, gotTr, wantTr)
-				}
-			}
-		})
 	}
 }

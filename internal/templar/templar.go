@@ -11,14 +11,17 @@
 //
 //	entries, _ := sqlparse.ParseLog(logText)
 //	g, _ := qfg.Build(entries, fragment.NoConstOp)
-//	t := templar.New(database, model, g, templar.Options{})
+//	t := templar.NewLive(database, model, g.Snapshot(nil), templar.Options{})
 //	configs, _ := t.MapKeywords(ctx, keywords, nil)
 //	paths, _ := t.InferJoins(ctx, []string{"publication", "domain"}, &templar.CallOptions{TopK: 3})
 //
-// A serving layer that keeps folding user queries back into its log wraps
-// the graph in a qfg.Live and uses NewLive instead: every append republishes
-// an immutable snapshot, and the System swaps its scoring/weighting engine
-// behind an atomic pointer without ever blocking readers.
+// NewLive is the one constructor, and its qfg.SnapshotSource decides the
+// log's lifecycle. A fixed *qfg.Snapshot (compiled from a graph, or loaded
+// from internal/store) is a frozen log. A serving layer that keeps folding
+// user queries back into its log passes a *qfg.Live instead: every append
+// republishes an immutable snapshot, and the System swaps its
+// scoring/weighting engine behind an atomic pointer without ever blocking
+// readers. A nil source is the log-free baseline.
 package templar
 
 import (
@@ -64,8 +67,8 @@ type engine struct {
 // mapper precomputes its candidate index at construction and ranks against
 // an immutable interned-ID QFG snapshot, the join generator clones its
 // precomputed adjacency graph per call, and the current engine is read with
-// one atomic load. With NewLive, log appends republish a fresh snapshot and
-// the engine is rebuilt copy-on-write — in-flight readers keep the engine
+// one atomic load. Over a *qfg.Live, log appends republish a fresh snapshot
+// and the engine is rebuilt copy-on-write — in-flight readers keep the engine
 // they loaded and are never blocked. The one caller obligation is to stop
 // mutating the database (Insert) before constructing the System.
 type System struct {
@@ -73,7 +76,7 @@ type System struct {
 	model    *embedding.Model
 	opts     Options
 	mapper   *keyword.Mapper
-	live     *qfg.Live // nil when the log is frozen
+	src      qfg.SnapshotSource // nil for the log-free baseline
 	// cur is the engine serving requests; rebuildMu serializes the
 	// copy-on-write rebuild after a live republish (readers that lose the
 	// TryLock race serve the previous engine instead of blocking).
@@ -81,57 +84,26 @@ type System struct {
 	rebuildMu sync.Mutex
 }
 
-// New builds a Templar instance over a frozen query log. graph may be nil,
-// which degrades both calls to their log-free baselines (useful for
-// ablations). The graph is compiled once into an immutable snapshot unless
-// Options.Keyword.DisableSnapshot selects the map-backed scoring path.
-func New(database *db.Database, model *embedding.Model, graph *qfg.Graph, opts Options) *System {
-	s := &System{database: database, model: model, opts: opts}
-	mapper, snap, w := nlidb.QFGParts(database, model, graph, opts.Keyword, opts.LogJoin)
-	s.mapper = mapper
-	if snap != nil {
-		s.cur.Store(s.buildEngine(snap))
-		return s
+// NewLive builds a Templar instance over the query log src publishes:
+//
+//   - a *qfg.Live is a growing log — the mapper ranks against whatever
+//     snapshot it currently publishes, and the join generator (whose
+//     log-driven weights are baked at build time) is rebuilt copy-on-write
+//     whenever a republish is observed; Live returns it for appends;
+//   - a fixed *qfg.Snapshot (e.g. one loaded from internal/store) is a
+//     frozen log: the engine serves the snapshot's arrays as-is and Live
+//     returns nil, so appends are refused;
+//   - nil (or a nil *qfg.Live or *qfg.Snapshot) degrades both calls to
+//     their log-free baselines.
+func NewLive(database *db.Database, model *embedding.Model, src qfg.SnapshotSource, opts Options) *System {
+	src = qfg.NonNilSource(src)
+	s := &System{database: database, model: model, opts: opts, src: src}
+	s.mapper = keyword.NewMapper(database, model, src, opts.Keyword)
+	var snap *qfg.Snapshot
+	if src != nil {
+		snap = src.CurrentSnapshot()
 	}
-	// Map-backed ablation path (or no QFG at all): the engine carries no
-	// snapshot; weights, if any, read the graph directly.
-	joins := joinpath.NewGenerator(database.Schema(), w)
-	s.cur.Store(&engine{
-		joins:      joins,
-		translator: nlidb.NewFromParts("Templar", s.mapper, joins, nlidb.Config{}),
-	})
-	return s
-}
-
-// NewFromSnapshot builds a Templar instance directly over a precompiled,
-// frozen QFG snapshot — the cold-start path for archives loaded from
-// internal/store: no log re-mine, no graph build, the engine serves from
-// the loaded arrays as-is. Log appends are disabled (Live() == nil); a
-// serving layer that wants to keep appending wraps the archive with
-// qfg.NewLiveFromSnapshot and uses NewLive instead. Passing a nil snapshot
-// degrades to the log-free baseline, as in New.
-func NewFromSnapshot(database *db.Database, model *embedding.Model, snap *qfg.Snapshot, opts Options) *System {
-	if snap == nil {
-		return New(database, model, nil, opts)
-	}
-	opts.Keyword.DisableSnapshot = false
-	s := &System{database: database, model: model, opts: opts}
-	s.mapper = keyword.NewSnapshotMapper(database, model, snap, opts.Keyword)
 	s.cur.Store(s.buildEngine(snap))
-	return s
-}
-
-// NewLive builds a Templar instance over a live, growing query log: the
-// mapper ranks against whatever snapshot the Live graph currently
-// publishes, and the join generator (whose log-driven weights are baked at
-// build time) is rebuilt copy-on-write whenever a republish is observed.
-// Options.Keyword.DisableSnapshot is ignored — live serving is always
-// snapshot-based.
-func NewLive(database *db.Database, model *embedding.Model, live *qfg.Live, opts Options) *System {
-	opts.Keyword.DisableSnapshot = false
-	s := &System{database: database, model: model, opts: opts, live: live}
-	s.mapper = keyword.NewSnapshotMapper(database, model, live, opts.Keyword)
-	s.cur.Store(s.buildEngine(live.CurrentSnapshot()))
 	return s
 }
 
@@ -158,15 +130,16 @@ func (s *System) buildEngine(snap *qfg.Snapshot) *engine {
 }
 
 // engine returns the current serving engine, rebuilding it first when the
-// live graph has republished a newer snapshot. Readers never block: if
-// another goroutine already holds the rebuild lock, the previous engine —
-// a complete, consistent view of an older log state — serves the request.
+// source has published a newer snapshot (only a *qfg.Live ever does).
+// Readers never block: if another goroutine already holds the rebuild
+// lock, the previous engine — a complete, consistent view of an older log
+// state — serves the request.
 func (s *System) engine() *engine {
 	e := s.cur.Load()
-	if s.live == nil {
+	if s.src == nil {
 		return e
 	}
-	snap := s.live.CurrentSnapshot()
+	snap := s.src.CurrentSnapshot()
 	if e.snap == snap {
 		return e
 	}
@@ -174,7 +147,7 @@ func (s *System) engine() *engine {
 		return e
 	}
 	defer s.rebuildMu.Unlock()
-	snap = s.live.CurrentSnapshot()
+	snap = s.src.CurrentSnapshot()
 	if e = s.cur.Load(); e.snap == snap {
 		return e
 	}
@@ -186,8 +159,7 @@ func (s *System) engine() *engine {
 // Database returns the bound database.
 func (s *System) Database() *db.Database { return s.database }
 
-// Mapper returns the shared keyword mapper (index- and cache-backed unless
-// disabled via Options.Keyword.DisableIndex).
+// Mapper returns the shared, index- and cache-backed keyword mapper.
 func (s *System) Mapper() *keyword.Mapper { return s.mapper }
 
 // Joins returns the current join path generator. With a live log the
@@ -196,8 +168,11 @@ func (s *System) Mapper() *keyword.Mapper { return s.mapper }
 func (s *System) Joins() *joinpath.Generator { return s.engine().joins }
 
 // Live returns the live query log behind the system, or nil when the log
-// is frozen. Serving layers append user queries through it.
-func (s *System) Live() *qfg.Live { return s.live }
+// is frozen (or absent). Serving layers append user queries through it.
+func (s *System) Live() *qfg.Live {
+	live, _ := s.src.(*qfg.Live)
+	return live
+}
 
 // Snapshot returns the QFG snapshot the current engine serves from (nil
 // for a log-free baseline), for diagnostics endpoints.
@@ -257,14 +232,7 @@ func (s *System) MapKeywords(ctx context.Context, keywords []keyword.Keyword, op
 	if opts != nil {
 		kco.TopK = opts.TopK
 	}
-	configs, err := s.mapper.MapKeywordsCtx(ctx, keywords, kco)
-	if err != nil {
-		return nil, err
-	}
-	if opts != nil && opts.TopK > 0 && len(configs) > opts.TopK {
-		configs = configs[:opts.TopK]
-	}
-	return configs, nil
+	return s.mapper.MapKeywordsCtx(ctx, keywords, kco)
 }
 
 // InferJoins executes INFERJOINS (J = INFERJOINS(Gs, BD)): given the bag of

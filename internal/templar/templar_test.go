@@ -59,7 +59,7 @@ func fixtureQFG(t testing.TB) *qfg.Graph {
 
 func TestFacadeMapKeywords(t *testing.T) {
 	d := fixtureDB(t)
-	sys := New(d, embedding.New(), fixtureQFG(t), Options{LogJoin: true})
+	sys := NewLive(d, embedding.New(), fixtureQFG(t).Snapshot(nil), Options{LogJoin: true})
 	configs, err := sys.MapKeywords(context.Background(), []keyword.Keyword{
 		{Text: "papers", Meta: keyword.Metadata{Context: fragment.Select}},
 		{Text: "after 2000", Meta: keyword.Metadata{Context: fragment.Where, Op: ">"}},
@@ -81,7 +81,7 @@ func TestFacadeMapKeywords(t *testing.T) {
 
 func TestFacadeInferJoins(t *testing.T) {
 	d := fixtureDB(t)
-	sys := New(d, embedding.New(), fixtureQFG(t), Options{LogJoin: true})
+	sys := NewLive(d, embedding.New(), fixtureQFG(t).Snapshot(nil), Options{LogJoin: true})
 	paths, err := sys.InferJoins(context.Background(), []string{"publication", "journal"}, &CallOptions{TopK: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -96,7 +96,7 @@ func TestFacadeInferJoins(t *testing.T) {
 
 func TestFacadeNilGraphDegradesGracefully(t *testing.T) {
 	d := fixtureDB(t)
-	sys := New(d, embedding.New(), nil, Options{LogJoin: true})
+	sys := NewLive(d, embedding.New(), nil, Options{LogJoin: true})
 	configs, err := sys.MapKeywords(context.Background(), []keyword.Keyword{
 		{Text: "journals", Meta: keyword.Metadata{Context: fragment.Select}},
 	}, nil)
@@ -118,67 +118,77 @@ func TestFacadeNilGraphDegradesGracefully(t *testing.T) {
 
 func TestFacadeDatabaseAccessor(t *testing.T) {
 	d := fixtureDB(t)
-	sys := New(d, embedding.New(), nil, Options{})
+	sys := NewLive(d, embedding.New(), nil, Options{})
 	if sys.Database() != d {
 		t.Fatal("Database accessor")
 	}
 }
 
-// TestNewFromSnapshotMatchesNew is the constructor-level parity gate for
-// the store cold-start path: a System over a precompiled snapshot must
-// answer exactly like one that built the same snapshot from the graph.
-func TestNewFromSnapshotMatchesNew(t *testing.T) {
+// TestFrozenSnapshotMatchesLive is the constructor-level parity gate for
+// the one constructor's source kinds: a System over a fixed snapshot (the
+// store cold-start path) must answer exactly like one over a *qfg.Live
+// that publishes the same log state, and only the Live source accepts
+// appends.
+func TestFrozenSnapshotMatchesLive(t *testing.T) {
 	d := fixtureDB(t)
 	graph := fixtureQFG(t)
-	built := New(d, embedding.New(), graph, Options{LogJoin: true})
-	loaded := NewFromSnapshot(d, embedding.New(), graph.Snapshot(nil), Options{LogJoin: true})
-	if loaded.Live() != nil {
+	live := NewLive(d, embedding.New(), qfg.NewLive(graph), Options{LogJoin: true})
+	frozen := NewLive(d, embedding.New(), graph.Snapshot(nil), Options{LogJoin: true})
+	if frozen.Live() != nil {
 		t.Fatal("snapshot-backed system must be frozen")
+	}
+	if live.Live() == nil {
+		t.Fatal("Live-backed system must accept appends")
 	}
 	kws := []keyword.Keyword{
 		{Text: "papers", Meta: keyword.Metadata{Context: fragment.Select}},
 		{Text: "after 2000", Meta: keyword.Metadata{Context: fragment.Where, Op: ">"}},
 	}
-	wantCfg, err := built.MapKeywords(context.Background(), kws, nil)
+	wantCfg, err := live.MapKeywords(context.Background(), kws, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotCfg, err := loaded.MapKeywords(context.Background(), kws, nil)
+	gotCfg, err := frozen.MapKeywords(context.Background(), kws, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(gotCfg, wantCfg) {
-		t.Fatalf("configurations diverged:\nsnapshot: %v\ngraph:    %v", gotCfg, wantCfg)
+		t.Fatalf("configurations diverged:\nsnapshot: %v\nlive:     %v", gotCfg, wantCfg)
 	}
-	wantTr, err := built.Translate(context.Background(), kws, nil)
+	wantTr, err := live.Translate(context.Background(), kws, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotTr, err := loaded.Translate(context.Background(), kws, nil)
+	gotTr, err := frozen.Translate(context.Background(), kws, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(gotTr, wantTr) {
-		t.Fatalf("translations diverged:\nsnapshot: %+v\ngraph:    %+v", gotTr, wantTr)
+		t.Fatalf("translations diverged:\nsnapshot: %+v\nlive:     %+v", gotTr, wantTr)
 	}
-	wantPaths, err := built.InferJoins(context.Background(), []string{"publication", "journal"}, &CallOptions{TopK: 2})
+	wantPaths, err := live.InferJoins(context.Background(), []string{"publication", "journal"}, &CallOptions{TopK: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotPaths, err := loaded.InferJoins(context.Background(), []string{"publication", "journal"}, &CallOptions{TopK: 2})
+	gotPaths, err := frozen.InferJoins(context.Background(), []string{"publication", "journal"}, &CallOptions{TopK: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(gotPaths, wantPaths) {
-		t.Fatal("join paths diverged between snapshot- and graph-backed systems")
+		t.Fatal("join paths diverged between snapshot- and Live-backed systems")
 	}
-	// Nil snapshot degrades to the log-free baseline, like New(nil graph).
-	baseline := NewFromSnapshot(d, embedding.New(), nil, Options{})
-	cfgs, err := baseline.MapKeywords(context.Background(), kws[:1], nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfgs[0].QFGScore != 0 {
-		t.Fatal("nil snapshot must yield zero log score")
+	// A nil source, typed or not, degrades to the log-free baseline.
+	for _, src := range []qfg.SnapshotSource{nil, (*qfg.Live)(nil), (*qfg.Snapshot)(nil)} {
+		baseline := NewLive(d, embedding.New(), src, Options{LogJoin: true})
+		if baseline.Live() != nil || baseline.Snapshot() != nil {
+			t.Fatalf("%T source: baseline must have no log", src)
+		}
+		cfgs, err := baseline.MapKeywords(context.Background(), kws[:1], nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cfgs[0].QFGScore != 0 || cfgs[0].Score != cfgs[0].SimScore {
+			t.Fatalf("%T source: nil log must yield the λ=1 baseline: %+v", src, cfgs[0])
+		}
 	}
 }

@@ -52,7 +52,7 @@ func liveSystem(t testing.TB, ds *datasets.Dataset) *templar.System {
 // frozenSystem builds a non-appendable engine (Live() == nil).
 func frozenSystem(t testing.TB, ds *datasets.Dataset) *templar.System {
 	t.Helper()
-	return templar.New(ds.DB, embedding.New(), buildGraph(t, ds), templar.Options{LogJoin: true})
+	return templar.NewLive(ds.DB, embedding.New(), buildGraph(t, ds).Snapshot(nil), templar.Options{LogJoin: true})
 }
 
 // storeLoadedLiveSystem round-trips the dataset's snapshot through the
