@@ -31,11 +31,12 @@ bench-json:
 # the AllocsPerRun ceilings (alloc_test.go), then a steady-state re-measure
 # of the end-to-end benchmarks diffed by cmd/benchdiff. Allocation growth
 # past 25% fails; wall-clock gets a loose 100% band since baselines travel
-# between machines.
+# between machines. -cpu 1 keeps benchmark names free of the -N GOMAXPROCS
+# suffix, so they match the baseline's keys on any host.
 ALLOC_BASELINE ?= BENCH_2026-08-07.json
 alloc-check:
 	$(GO) test . -run 'AllocCeiling' -count=1 -v
-	$(GO) test . ./internal/serve ./internal/joinpath -run '^$$' \
+	$(GO) test . ./internal/serve ./internal/joinpath -run '^$$' -cpu 1 \
 		-bench 'MapKeywordsIndexed|TranslateSnapshotQFG|TranslateEndToEnd|BenchmarkInfer' \
 		-benchtime 100x -benchmem > bench_alloc.txt
 	$(GO) run ./cmd/bench2json < bench_alloc.txt > BENCH_alloc.json
@@ -44,6 +45,7 @@ alloc-check:
 fuzz:
 	$(GO) test ./internal/sqlparse -fuzz 'FuzzParse$$' -fuzztime 30s
 	$(GO) test ./internal/sqlparse -fuzz 'FuzzParseLog$$' -fuzztime 30s
+	$(GO) test ./internal/keyword -fuzz 'FuzzParseSpec$$' -fuzztime 30s
 
 fmt:
 	@out="$$(gofmt -l .)"; \

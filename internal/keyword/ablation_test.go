@@ -6,7 +6,6 @@ import (
 
 	"templar/internal/embedding"
 	"templar/internal/fragment"
-	"templar/internal/qfg"
 	"templar/internal/sqlparse"
 )
 
@@ -55,10 +54,7 @@ func TestIncludeFromInQFGOption(t *testing.T) {
 // fragments to IDs on the spot (the enumeration in genAndScoreConfigs
 // precomputes IDs for whole candidate sets instead).
 func (m *Mapper) scoreConfigAdhoc(cfg *Configuration) {
-	var snap *qfg.Snapshot
-	if m.src != nil {
-		snap = m.src.CurrentSnapshot()
-	}
+	snap := m.snap
 	var ids []candID
 	if snap != nil {
 		ob := snap.Obscurity()

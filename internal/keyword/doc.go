@@ -9,13 +9,11 @@
 // # Entry points
 //
 // Mapper is the engine; MapKeywords is the call (Algorithm 1). NewMapper
-// binds a mapper to a database, a similarity model and a qfg.SnapshotSource:
-// a fixed *qfg.Snapshot for a frozen log (e.g. one compiled from a graph or
-// loaded from internal/store), a *qfg.Live so copy-on-write republishes
-// reach the mapper without rebuilding it, or nil for the log-free baseline.
-// WithSource pins a shallow copy of a mapper to one snapshot for the
-// lifetime of a request pipeline, sharing the candidate index and
-// similarity cache.
+// binds a mapper to a database, a similarity model and one fixed
+// *qfg.Snapshot (compiled from a graph or loaded from internal/store), or
+// nil for the log-free baseline. The mapper never reads a qfg.Live: a
+// growing log is followed by templar, whose per-snapshot engines each hold
+// a WithSnapshot copy sharing the candidate index and similarity cache.
 //
 // A Mapper is safe for concurrent use: candidate retrieval goes through an
 // inverted index over schema names and column values precomputed at

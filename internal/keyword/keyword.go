@@ -156,10 +156,9 @@ func (o Options) withDefaults() Options {
 type Mapper struct {
 	db    *db.Database
 	model *embedding.Model
-	// src yields the compiled QFG snapshot configurations are ranked
-	// against; nil disables log-driven scoring (pure baseline). A *qfg.Live
-	// source lets log appends republish without rebuilding the Mapper.
-	src  qfg.SnapshotSource
+	// snap is the compiled QFG snapshot configurations are ranked
+	// against; nil disables log-driven scoring (pure baseline).
+	snap *qfg.Snapshot
 	opts Options
 	// index precomputes candidate retrieval structures.
 	index *candidateIndex
@@ -167,49 +166,39 @@ type Mapper struct {
 	cache *simCache
 }
 
-// NewMapper builds a Mapper that ranks against whatever snapshot src
-// currently publishes — pass a fixed *qfg.Snapshot for a frozen log, or a
-// *qfg.Live so copy-on-write republishes after log appends reach the
-// Mapper without rebuilding it. The snapshot is loaded once per
-// MapKeywords call (one atomic read), so a single request always scores
-// against one consistent view.
-//
-// A nil src (or a nil *qfg.Live or *qfg.Snapshot) yields the baseline
-// behavior: ScoreQFG ≡ 0 and λ forced to 1, exactly the Pipeline system of
-// §VII-A2. With a source, fragment lookups always use the snapshot's own
-// obscurity level — Options.Obscurity is overridden, because querying a
-// NoConstOp log with Full fragments (or vice versa) can never match.
+// NewMapper builds a Mapper that ranks against one fixed QFG snapshot. A
+// nil snap yields the baseline behavior: ScoreQFG ≡ 0 and λ forced to 1,
+// exactly the Pipeline system of §VII-A2. With a snapshot, fragment
+// lookups always use the snapshot's own obscurity level —
+// Options.Obscurity is overridden, because querying a NoConstOp log with
+// Full fragments (or vice versa) can never match.
 //
 // NewMapper precomputes an inverted index over schema names and column
 // values, so candidate retrieval never scans tables per call, and installs
 // a bounded memo cache for embedding similarities.
-func NewMapper(database *db.Database, model *embedding.Model, src qfg.SnapshotSource, opts Options) *Mapper {
-	src = qfg.NonNilSource(src)
-	if src != nil {
-		if snap := src.CurrentSnapshot(); snap != nil {
-			opts.Obscurity = snap.Obscurity()
-		}
+func NewMapper(database *db.Database, model *embedding.Model, snap *qfg.Snapshot, opts Options) *Mapper {
+	if snap != nil {
+		opts.Obscurity = snap.Obscurity()
 	}
 	return &Mapper{
 		db:    database,
 		model: model,
-		src:   src,
+		snap:  snap,
 		opts:  opts.withDefaults(),
 		index: buildCandidateIndex(database),
 		cache: newSimCache(simCacheSize),
 	}
 }
 
-// WithSource returns a shallow copy of the Mapper bound to a different
-// snapshot source, sharing the candidate index, similarity cache, database
-// and model (all safe for concurrent use). A serving engine uses it to pin
-// one republished snapshot for the lifetime of a request pipeline, so
-// configuration scores and join weights derive from the same log state.
-// The source must publish snapshots of the same obscurity lineage as the
-// Mapper was built with.
-func (m *Mapper) WithSource(src qfg.SnapshotSource) *Mapper {
+// WithSnapshot returns a shallow copy of the Mapper ranking against a
+// different snapshot, sharing the candidate index, similarity cache,
+// database and model (all safe for concurrent use). A serving engine uses
+// it to follow a republished log without rebuilding the index. The
+// snapshot must be of the same obscurity lineage as the Mapper was built
+// with.
+func (m *Mapper) WithSnapshot(snap *qfg.Snapshot) *Mapper {
 	c := *m
-	c.src = src
+	c.snap = snap
 	return &c
 }
 
@@ -318,7 +307,7 @@ func (m *Mapper) requestOptions(co CallOptions) (Options, error) {
 		opts.MaxConfigurations = co.MaxConfigurations
 	}
 	if co.Obscurity != nil {
-		if m.src != nil && *co.Obscurity != m.opts.Obscurity {
+		if m.snap != nil && *co.Obscurity != m.opts.Obscurity {
 			return opts, &ObscurityMismatchError{Want: *co.Obscurity, Have: m.opts.Obscurity}
 		}
 		opts.Obscurity = *co.Obscurity
@@ -550,14 +539,9 @@ type candID struct {
 }
 
 func (m *Mapper) genAndScoreConfigs(ctx context.Context, perKeyword [][]Mapping, opts Options, topK int, sc *mapScratch) ([]Configuration, error) {
-	// Load the current snapshot once per request: every configuration of
-	// this call ranks against one consistent view, and candidate fragments
-	// are translated to interned IDs here — once per candidate, not once
-	// per probe of the cartesian product.
-	var snap *qfg.Snapshot
-	if m.src != nil {
-		snap = m.src.CurrentSnapshot()
-	}
+	// Candidate fragments are translated to interned IDs here — once per
+	// candidate, not once per probe of the cartesian product.
+	snap := m.snap
 	var perIDs [][]candID
 	if snap != nil {
 		ob := snap.Obscurity()
@@ -711,7 +695,7 @@ func (m *Mapper) scoreConfig(cfg *Configuration, snap *qfg.Snapshot, ids []candI
 	}
 
 	lambda := opts.Lambda
-	if m.src == nil {
+	if m.snap == nil {
 		lambda = 1
 	}
 	cfg.Score = lambda*cfg.SimScore + (1-lambda)*cfg.QFGScore

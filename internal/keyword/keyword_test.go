@@ -67,11 +67,11 @@ func paperishLog(t testing.TB, ob fragment.Obscurity) *qfg.Graph {
 func newMapper(t testing.TB, withQFG bool, opts Options) *Mapper {
 	t.Helper()
 	d := masMini(t)
-	var src qfg.SnapshotSource
+	var snap *qfg.Snapshot
 	if withQFG {
-		src = paperishLog(t, opts.Obscurity).Snapshot(nil)
+		snap = paperishLog(t, opts.Obscurity).Snapshot(nil)
 	}
-	return NewMapper(d, embedding.New(), src, opts)
+	return NewMapper(d, embedding.New(), snap, opts)
 }
 
 func TestExtractNumber(t *testing.T) {

@@ -35,7 +35,7 @@ func rankedConfig() Configuration {
 func BenchmarkRankDiceScoringSnapshot(b *testing.B) {
 	m := benchMapper(b)
 	cfg := rankedConfig()
-	snap := m.src.CurrentSnapshot()
+	snap := m.snap
 	ob := snap.Obscurity()
 	ids := make([]candID, len(cfg.Mappings))
 	for i, mp := range cfg.Mappings {

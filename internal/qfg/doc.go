@@ -30,10 +30,10 @@
 // mutate the builder and republish copy-on-write, readers load the current
 // snapshot with one atomic pointer read and are never blocked. The
 // SnapshotSource interface abstracts "a place the current snapshot comes
-// from" — a fixed *Snapshot and a *Live both satisfy it, and it is the one
-// argument the keyword mapper and the templar engine take for their log.
-// NonNilSource folds a typed nil *Snapshot or *Live into a nil source, the
-// log-free baseline.
+// from" — a fixed *Snapshot and a *Live both satisfy it. Its one consumer
+// is templar.NewLive, the only place a Live is bound to serving state;
+// everything downstream (the keyword mapper, join weights) takes a fixed
+// *Snapshot.
 //
 // # Persistence
 //

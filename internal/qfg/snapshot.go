@@ -37,7 +37,8 @@ type Snapshot struct {
 }
 
 // SnapshotSource yields the current snapshot of a possibly-evolving QFG.
-// *Snapshot (itself) and *Live (its latest publication) both satisfy it.
+// *Snapshot (itself) and *Live (its latest publication) both satisfy it;
+// templar.NewLive takes one to pick a frozen or a growing log.
 type SnapshotSource interface {
 	CurrentSnapshot() *Snapshot
 }
@@ -45,23 +46,6 @@ type SnapshotSource interface {
 // CurrentSnapshot returns the snapshot itself, making a fixed *Snapshot a
 // SnapshotSource for consumers that never see log appends.
 func (s *Snapshot) CurrentSnapshot() *Snapshot { return s }
-
-// NonNilSource returns src, or nil when src is nil or wraps a nil *Live or
-// *Snapshot, so consumers can treat "no query log" as one nil check even
-// when a caller hands them a typed nil pointer.
-func NonNilSource(src SnapshotSource) SnapshotSource {
-	switch s := src.(type) {
-	case *Live:
-		if s == nil {
-			return nil
-		}
-	case *Snapshot:
-		if s == nil {
-			return nil
-		}
-	}
-	return src
-}
 
 // internFragments interns the graph's current fragment set into in, in
 // sorted order — exactly the ID assignment Snapshot performs — without

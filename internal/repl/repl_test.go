@@ -417,11 +417,14 @@ func TestFollowerBackoffWhenPrimaryUnreachable(t *testing.T) {
 	waitApplied(t, f, 2)
 	before := probe(t, fts.URL, "mas")
 
+	// Discard idle-poll sleeps from the healthy phase before the primary
+	// goes: a poll failing on the close records its first backoff sleep
+	// at once, and a truncation after the close could drop it.
+	mu.Lock()
+	delays = delays[:0]
+	mu.Unlock()
 	pts.CloseClientConnections()
 	pts.Close() // the primary is gone
-	mu.Lock()
-	delays = delays[:0] // discard idle-poll sleeps from the healthy phase
-	mu.Unlock()
 
 	// A poll that succeeded just before the close may still record its
 	// idle sleep after the truncation above; only backoff sleeps (anything

@@ -65,7 +65,7 @@ func AttachWAL(t *Tenant, dir string, opts wal.Options) (*wal.Recovery, error) {
 				"serve: dataset %q: write-ahead log resumes at sequence %d but the snapshot covers %d; records in between are missing (snapshot/log mismatch)",
 				t.Name, r.Seq, t.SnapshotSeq)
 		}
-		op, err := replayOp(r)
+		op, err := repl.ToReplayOp(r)
 		if err != nil {
 			l.Close()
 			return nil, fmt.Errorf("serve: dataset %q: WAL record %d: %w", t.Name, r.Seq, err)
@@ -97,12 +97,4 @@ func AttachWAL(t *Tenant, dir string, opts wal.Options) (*wal.Recovery, error) {
 		}
 	}
 	return rec, nil
-}
-
-// replayOp converts a durably logged record back into the engine operation
-// it acknowledged. The conversion lives in internal/repl (ToReplayOp)
-// because replication followers must apply records exactly the way boot
-// recovery does; this wrapper keeps the serve-layer call sites unchanged.
-func replayOp(r *wal.Record) (qfg.ReplayOp, error) {
-	return repl.ToReplayOp(r)
 }

@@ -17,6 +17,7 @@ import (
 
 	"templar/internal/feedback"
 	"templar/internal/sqlparse"
+	"templar/internal/templar"
 	"templar/pkg/api"
 )
 
@@ -65,11 +66,11 @@ func (t *Tenant) feedbackStatus() *api.FeedbackStatus {
 	}
 }
 
-// recordTranslation enters a served v2 translation into the tenant's
-// ledger so a later verdict can reference it by request ID. Followers
-// skip recording: their feedback redirects to the primary, which serves
-// its own ledger.
-func recordTranslation(t *Tenant, requestID string, req api.TranslateRequest, resp *api.TranslateResponse) {
+// recordTranslation enters a v2 translation served by eng into the
+// tenant's ledger so a later verdict can reference it by request ID.
+// Followers skip recording: their feedback redirects to the primary, which
+// serves its own ledger.
+func recordTranslation(t *Tenant, eng *templar.Engine, requestID string, req api.TranslateRequest, resp *api.TranslateResponse) {
 	if requestID == "" || resp == nil || t.Follower != nil {
 		return
 	}
@@ -105,7 +106,7 @@ func recordTranslation(t *Tenant, requestID string, req api.TranslateRequest, re
 		Served:     served,
 		RecordedAt: time.Now(),
 	}
-	if snap := t.Sys.Snapshot(); snap != nil {
+	if snap := eng.Snapshot(); snap != nil {
 		entry.Obscurity = snap.Obscurity().String()
 	}
 	t.FeedbackLedger().Record(entry)

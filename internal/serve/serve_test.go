@@ -437,6 +437,68 @@ func TestLiveAppendsDuringTraffic(t *testing.T) {
 	wg.Wait()
 }
 
+// TestBatchAfterAckServesAckedSnapshot pins "one snapshot per request":
+// a translate batch sent right after an acked append must answer every
+// item from the acked snapshot — none from the engine the append
+// replaced — byte-equal to a fresh engine built over that snapshot, and
+// map-keywords must score against the same snapshot.
+func TestBatchAfterAckServesAckedSnapshot(t *testing.T) {
+	ds := datasets.MAS()
+	sys := buildLiveSystem(t, ds, keyword.Options{})
+	ts := httptest.NewServer(NewServer(sys, ds.Name, 8).Handler())
+	t.Cleanup(ts.Close)
+
+	const items, rounds = 64, 16
+	batch := api.TranslateRequest{Queries: make([]api.KeywordsInput, items)}
+	appendReq := api.LogAppendRequest{Queries: make([]api.LogEntry, items)}
+	for i := range batch.Queries {
+		task := ds.Tasks[i%len(ds.Tasks)]
+		batch.Queries[i] = wireKeywords(task.Keywords)
+		appendReq.Queries[i] = api.LogEntry{SQL: task.Gold}
+	}
+	mapReq := api.MapKeywordsRequest{KeywordsInput: batch.Queries[0], TopK: 3}
+
+	for r := 0; r < rounds; r++ {
+		var ack api.LogAppendResponse
+		if s := postJSON(t, ts.URL+"/v2/mas/log", appendReq, &ack); s != http.StatusOK {
+			t.Fatalf("round %d: append status %d", r, s)
+		}
+		acked := sys.Live().CurrentSnapshot()
+		if ack.LogQueries != acked.Queries() {
+			t.Fatalf("round %d: ack reports %d queries, live log has %d", r, ack.LogQueries, acked.Queries())
+		}
+		var got struct{ Results []json.RawMessage }
+		if s := postJSON(t, ts.URL+"/v2/mas/translate", batch, &got); s != http.StatusOK || len(got.Results) != items {
+			t.Fatalf("round %d: translate status %d, %d results", r, s, len(got.Results))
+		}
+		var gotMap json.RawMessage
+		if s := postJSON(t, ts.URL+"/v2/mas/map-keywords", mapReq, &gotMap); s != http.StatusOK {
+			t.Fatalf("round %d: map-keywords status %d", r, s)
+		}
+
+		fresh := templar.NewLive(ds.DB, embedding.New(), acked, templar.Options{LogJoin: true})
+		for i, in := range batch.Queries {
+			kws, apiErr := decodeKeywords(in)
+			if apiErr != nil {
+				t.Fatal(apiErr)
+			}
+			var want api.TranslateResult
+			if tr, err := fresh.Translate(context.Background(), kws, nil); err != nil {
+				want.Error = engineError(err)
+			} else {
+				want = fromTranslation(tr)
+			}
+			assertSameJSON(t, want, got.Results[i])
+		}
+		kws, _ := decodeKeywords(mapReq.KeywordsInput)
+		cfgs, err := fresh.MapKeywords(context.Background(), kws, &templar.CallOptions{TopK: mapReq.TopK})
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameJSON(t, api.MapKeywordsResponse{Configurations: fromConfigurations(cfgs)}, gotMap)
+	}
+}
+
 // TestCanceledRequestContext drives the handlers with an already-canceled
 // request context: they must return promptly without writing a response
 // (the client is gone) and without panicking.

@@ -246,7 +246,7 @@ func (s *Server) withTenant(h func(http.ResponseWriter, *http.Request, *Tenant),
 // (nil, *api.Error) on failure, and (nil, nil) when the client vanished
 // before an answer existed — in which case nothing must be written.
 
-func (s *Server) coreMapKeywords(ctx context.Context, sys *templar.System, in api.KeywordsInput, topK int, co api.CallOptions) (*api.MapKeywordsResponse, *api.Error) {
+func (s *Server) coreMapKeywords(ctx context.Context, eng *templar.Engine, in api.KeywordsInput, topK int, co api.CallOptions) (*api.MapKeywordsResponse, *api.Error) {
 	kws, apiErr := decodeKeywords(in)
 	if apiErr != nil {
 		return nil, apiErr
@@ -259,7 +259,7 @@ func (s *Server) coreMapKeywords(ctx context.Context, sys *templar.System, in ap
 	var out *api.MapKeywordsResponse
 	var engErr error
 	if s.pool.RunCtx(ctx, func() {
-		cfgs, err := sys.MapKeywords(ctx, kws, opts)
+		cfgs, err := eng.MapKeywords(ctx, kws, opts)
 		if err != nil {
 			engErr = err
 			return
@@ -277,7 +277,7 @@ func (s *Server) coreMapKeywords(ctx context.Context, sys *templar.System, in ap
 	return out, nil
 }
 
-func (s *Server) coreInferJoins(ctx context.Context, sys *templar.System, relations []string, topK int) (*api.InferJoinsResponse, *api.Error) {
+func (s *Server) coreInferJoins(ctx context.Context, eng *templar.Engine, relations []string, topK int) (*api.InferJoinsResponse, *api.Error) {
 	if len(relations) == 0 {
 		return nil, api.NewError(http.StatusUnprocessableEntity, api.CodeValidation, "serve: no relations")
 	}
@@ -287,7 +287,7 @@ func (s *Server) coreInferJoins(ctx context.Context, sys *templar.System, relati
 	var out *api.InferJoinsResponse
 	var engErr error
 	if s.pool.RunCtx(ctx, func() {
-		paths, err := sys.InferJoins(ctx, relations, &templar.CallOptions{TopK: topK})
+		paths, err := eng.InferJoins(ctx, relations, &templar.CallOptions{TopK: topK})
 		if err != nil {
 			engErr = err
 			return
@@ -309,7 +309,7 @@ func (s *Server) coreInferJoins(ctx context.Context, sys *templar.System, relati
 	return out, nil
 }
 
-func (s *Server) coreTranslate(ctx context.Context, sys *templar.System, req api.TranslateRequest) (*api.TranslateResponse, *api.Error) {
+func (s *Server) coreTranslate(ctx context.Context, eng *templar.Engine, req api.TranslateRequest) (*api.TranslateResponse, *api.Error) {
 	if len(req.Queries) == 0 {
 		return nil, api.NewError(http.StatusUnprocessableEntity, api.CodeValidation, "serve: empty batch")
 	}
@@ -340,7 +340,7 @@ func (s *Server) coreTranslate(ctx context.Context, sys *templar.System, req api
 			results[i] = api.TranslateResult{Error: apiErr}
 			return
 		}
-		tr, err := sys.Translate(ctx, kws, opts)
+		tr, err := eng.Translate(ctx, kws, opts)
 		if err != nil {
 			if !isCanceled(err) {
 				results[i] = api.TranslateResult{Error: engineError(err)}
@@ -470,7 +470,7 @@ func (s *Server) handleV2MapKeywords(w http.ResponseWriter, r *http.Request, t *
 		s.writeProblem(w, r, apiErr)
 		return
 	}
-	resp, apiErr := s.coreMapKeywords(r.Context(), t.Sys, req.KeywordsInput, req.TopK, req.CallOptions)
+	resp, apiErr := s.coreMapKeywords(r.Context(), t.Sys.Engine(), req.KeywordsInput, req.TopK, req.CallOptions)
 	writeV2(s, w, r, resp, apiErr)
 }
 
@@ -480,7 +480,7 @@ func (s *Server) handleV2InferJoins(w http.ResponseWriter, r *http.Request, t *T
 		s.writeProblem(w, r, apiErr)
 		return
 	}
-	resp, apiErr := s.coreInferJoins(r.Context(), t.Sys, req.Relations, req.TopK)
+	resp, apiErr := s.coreInferJoins(r.Context(), t.Sys.Engine(), req.Relations, req.TopK)
 	writeV2(s, w, r, resp, apiErr)
 }
 
@@ -490,11 +490,12 @@ func (s *Server) handleV2Translate(w http.ResponseWriter, r *http.Request, t *Te
 		s.writeProblem(w, r, apiErr)
 		return
 	}
-	resp, apiErr := s.coreTranslate(r.Context(), t.Sys, req)
+	eng := t.Sys.Engine()
+	resp, apiErr := s.coreTranslate(r.Context(), eng, req)
 	if apiErr == nil && resp != nil {
 		// Remember what was served so POST /v2/{dataset}/feedback can turn
 		// a verdict on this request ID into a log append (feedback.go).
-		recordTranslation(t, RequestIDFrom(r.Context()), req, resp)
+		recordTranslation(t, eng, RequestIDFrom(r.Context()), req, resp)
 	}
 	writeV2(s, w, r, resp, apiErr)
 }

@@ -103,7 +103,7 @@ func (s *Server) handleV1MapKeywords(w http.ResponseWriter, r *http.Request, t *
 	if top == 0 {
 		top = req.TopK
 	}
-	resp, apiErr := s.coreMapKeywords(r.Context(), t.Sys, req.KeywordsInput, top, api.CallOptions{})
+	resp, apiErr := s.coreMapKeywords(r.Context(), t.Sys.Engine(), req.KeywordsInput, top, api.CallOptions{})
 	writeV1(s, w, resp, apiErr)
 }
 
@@ -117,7 +117,7 @@ func (s *Server) handleV1InferJoins(w http.ResponseWriter, r *http.Request, t *T
 	if topK == 0 {
 		topK = req.Top
 	}
-	resp, apiErr := s.coreInferJoins(r.Context(), t.Sys, req.Relations, topK)
+	resp, apiErr := s.coreInferJoins(r.Context(), t.Sys.Engine(), req.Relations, topK)
 	writeV1(s, w, resp, apiErr)
 }
 
@@ -129,7 +129,7 @@ func (s *Server) handleV1Translate(w http.ResponseWriter, r *http.Request, t *Te
 	}
 	// v1 ignores the v2-only per-request options even if present.
 	req.TopConfigs, req.TopPaths, req.CallOptions = 0, 0, api.CallOptions{}
-	resp, apiErr := s.coreTranslate(r.Context(), t.Sys, req)
+	resp, apiErr := s.coreTranslate(r.Context(), t.Sys.Engine(), req)
 	if apiErr != nil || resp == nil {
 		writeV1[api.TranslateResponse](s, w, nil, apiErr)
 		return

@@ -19,9 +19,15 @@
 // log's lifecycle. A fixed *qfg.Snapshot (compiled from a graph, or loaded
 // from internal/store) is a frozen log. A serving layer that keeps folding
 // user queries back into its log passes a *qfg.Live instead: every append
-// republishes an immutable snapshot, and the System swaps its
-// scoring/weighting engine behind an atomic pointer without ever blocking
-// readers. A nil source is the log-free baseline.
+// republishes an immutable snapshot, and the first read after it rebuilds
+// the System's Engine — the other readers wait for that one rebuild, then
+// every read is again one atomic load. A nil source is the log-free
+// baseline.
+//
+// An Engine is one snapshot's worth of serving state. A caller that makes
+// several calls for one request (a translate batch, or MAPKEYWORDS then
+// INFERJOINS) resolves System.Engine once and calls it, so every answer
+// comes from the same log state.
 package templar
 
 import (
@@ -48,14 +54,15 @@ type Options struct {
 	LogJoin bool
 }
 
-// engine is one immutable compiled view the System serves from: the QFG
-// snapshot it was derived from, the join generator whose edge weights were
-// baked from that snapshot, and the translator over a mapper pinned to
-// that same snapshot. Engines are swapped whole behind an atomic pointer,
-// so a Translate call scores configurations and weighs join edges against
-// one mutually consistent log state.
-type engine struct {
+// Engine is one immutable compiled view a System serves from: the QFG
+// snapshot it was derived from, a keyword mapper ranking against that
+// snapshot, the join generator whose edge weights were baked from it, and
+// the translator over both. Every call on one Engine scores configurations
+// and weighs join edges against one mutually consistent log state. An
+// Engine is safe for concurrent use.
+type Engine struct {
 	snap       *qfg.Snapshot // nil when the system has no QFG
+	mapper     *keyword.Mapper
 	joins      *joinpath.Generator
 	translator *nlidb.System
 }
@@ -66,117 +73,126 @@ type engine struct {
 // A System is safe for concurrent use by multiple goroutines: the keyword
 // mapper precomputes its candidate index at construction and ranks against
 // an immutable interned-ID QFG snapshot, the join generator clones its
-// precomputed adjacency graph per call, and the current engine is read with
-// one atomic load. Over a *qfg.Live, log appends republish a fresh snapshot
-// and the engine is rebuilt copy-on-write — in-flight readers keep the engine
-// they loaded and are never blocked. The one caller obligation is to stop
-// mutating the database (Insert) before constructing the System.
+// precomputed adjacency graph per call, and the current Engine is read with
+// one atomic load. Over a *qfg.Live, a log append republishes a fresh
+// snapshot and the next Engine call rebuilds the engine copy-on-write;
+// readers block only for that one rebuild, and in-flight requests keep the
+// engine they resolved. The one caller obligation is to stop mutating the
+// database (Insert) before constructing the System.
 type System struct {
 	database *db.Database
-	model    *embedding.Model
 	opts     Options
-	mapper   *keyword.Mapper
-	src      qfg.SnapshotSource // nil for the log-free baseline
+	live     *qfg.Live // nil when the log is frozen or absent
 	// cur is the engine serving requests; rebuildMu serializes the
-	// copy-on-write rebuild after a live republish (readers that lose the
-	// TryLock race serve the previous engine instead of blocking).
-	cur       atomic.Pointer[engine]
+	// copy-on-write rebuild after a live republish.
+	cur       atomic.Pointer[Engine]
 	rebuildMu sync.Mutex
 }
 
 // NewLive builds a Templar instance over the query log src publishes:
 //
-//   - a *qfg.Live is a growing log — the mapper ranks against whatever
-//     snapshot it currently publishes, and the join generator (whose
-//     log-driven weights are baked at build time) is rebuilt copy-on-write
-//     whenever a republish is observed; Live returns it for appends;
+//   - a *qfg.Live is a growing log — every snapshot it publishes gets its
+//     own Engine (mapper and log-driven join weights), rebuilt on the
+//     first read that observes the republish; Live returns it for appends;
 //   - a fixed *qfg.Snapshot (e.g. one loaded from internal/store) is a
 //     frozen log: the engine serves the snapshot's arrays as-is and Live
 //     returns nil, so appends are refused;
 //   - nil (or a nil *qfg.Live or *qfg.Snapshot) degrades both calls to
 //     their log-free baselines.
 func NewLive(database *db.Database, model *embedding.Model, src qfg.SnapshotSource, opts Options) *System {
-	src = qfg.NonNilSource(src)
-	s := &System{database: database, model: model, opts: opts, src: src}
-	s.mapper = keyword.NewMapper(database, model, src, opts.Keyword)
+	s := &System{database: database, opts: opts}
 	var snap *qfg.Snapshot
-	if src != nil {
-		snap = src.CurrentSnapshot()
+	switch v := src.(type) {
+	case nil:
+	case *qfg.Live:
+		if v != nil {
+			s.live, snap = v, v.CurrentSnapshot()
+		}
+	default:
+		snap = src.CurrentSnapshot() // a nil *qfg.Snapshot yields nil
 	}
-	s.cur.Store(s.buildEngine(snap))
+	s.cur.Store(s.newEngine(snap, keyword.NewMapper(database, model, snap, opts.Keyword)))
 	return s
 }
 
-// buildEngine compiles the per-snapshot serving state. The translator's
-// mapper is pinned to the engine's snapshot (sharing the candidate index
-// and similarity cache with the System's base mapper), so one Translate
-// call never mixes configuration scores from a newer republish with join
-// weights from an older one.
-func (s *System) buildEngine(snap *qfg.Snapshot) *engine {
+// newEngine compiles the serving state for snap around a mapper already
+// pinned to it. Engines of one System share the first mapper's candidate
+// index and similarity cache (keyword.Mapper.WithSnapshot).
+func (s *System) newEngine(snap *qfg.Snapshot, mapper *keyword.Mapper) *Engine {
 	var w joinpath.WeightFunc
 	if s.opts.LogJoin && snap != nil {
 		w = joinpath.LogWeights(snap)
 	}
 	joins := joinpath.NewGenerator(s.database.Schema(), w)
-	mapper := s.mapper
-	if snap != nil {
-		mapper = mapper.WithSource(snap)
-	}
-	return &engine{
+	return &Engine{
 		snap:       snap,
+		mapper:     mapper,
 		joins:      joins,
 		translator: nlidb.NewFromParts("Templar", mapper, joins, nlidb.Config{}),
 	}
 }
 
-// engine returns the current serving engine, rebuilding it first when the
-// source has published a newer snapshot (only a *qfg.Live ever does).
-// Readers never block: if another goroutine already holds the rebuild
-// lock, the previous engine — a complete, consistent view of an older log
-// state — serves the request.
-func (s *System) engine() *engine {
+// Engine returns the engine for the log's current snapshot, never one
+// older than the snapshot the live log had published when Engine was
+// called. It is one atomic load until the log republishes; the first call
+// after a republish rebuilds the engine, and concurrent callers wait for
+// that rebuild instead of being served the previous one.
+func (s *System) Engine() *Engine {
 	e := s.cur.Load()
-	if s.src == nil {
+	if s.live == nil || e.snap == s.live.CurrentSnapshot() {
 		return e
 	}
-	snap := s.src.CurrentSnapshot()
-	if e.snap == snap {
-		return e
-	}
-	if !s.rebuildMu.TryLock() {
-		return e
-	}
+	s.rebuildMu.Lock()
 	defer s.rebuildMu.Unlock()
-	snap = s.src.CurrentSnapshot()
-	if e = s.cur.Load(); e.snap == snap {
-		return e
+	snap := s.live.CurrentSnapshot()
+	if e = s.cur.Load(); e.snap != snap {
+		e = s.newEngine(snap, e.mapper.WithSnapshot(snap))
+		s.cur.Store(e)
 	}
-	e = s.buildEngine(snap)
-	s.cur.Store(e)
 	return e
 }
 
 // Database returns the bound database.
 func (s *System) Database() *db.Database { return s.database }
 
-// Mapper returns the shared, index- and cache-backed keyword mapper.
-func (s *System) Mapper() *keyword.Mapper { return s.mapper }
-
-// Joins returns the current join path generator. With a live log the
-// returned generator is a point-in-time view; prefer InferJoins, which
-// picks up republished weights per call.
-func (s *System) Joins() *joinpath.Generator { return s.engine().joins }
-
 // Live returns the live query log behind the system, or nil when the log
 // is frozen (or absent). Serving layers append user queries through it.
-func (s *System) Live() *qfg.Live {
-	live, _ := s.src.(*qfg.Live)
-	return live
-}
+func (s *System) Live() *qfg.Live { return s.live }
+
+// Mapper returns the current engine's keyword mapper.
+func (s *System) Mapper() *keyword.Mapper { return s.Engine().mapper }
+
+// Joins returns the current engine's join path generator.
+func (s *System) Joins() *joinpath.Generator { return s.Engine().joins }
 
 // Snapshot returns the QFG snapshot the current engine serves from (nil
 // for a log-free baseline), for diagnostics endpoints.
-func (s *System) Snapshot() *qfg.Snapshot { return s.engine().snap }
+func (s *System) Snapshot() *qfg.Snapshot { return s.Engine().snap }
+
+// MapKeywords runs Engine().MapKeywords.
+func (s *System) MapKeywords(ctx context.Context, keywords []keyword.Keyword, opts *CallOptions) ([]keyword.Configuration, error) {
+	return s.Engine().MapKeywords(ctx, keywords, opts)
+}
+
+// InferJoins runs Engine().InferJoins.
+func (s *System) InferJoins(ctx context.Context, relationBag []string, opts *CallOptions) ([]joinpath.Path, error) {
+	return s.Engine().InferJoins(ctx, relationBag, opts)
+}
+
+// Translate runs Engine().Translate.
+func (s *System) Translate(ctx context.Context, kws []keyword.Keyword, opts *CallOptions) (*nlidb.Translation, error) {
+	return s.Engine().Translate(ctx, kws, opts)
+}
+
+// Snapshot returns the QFG snapshot the engine serves from (nil for a
+// log-free baseline).
+func (e *Engine) Snapshot() *qfg.Snapshot { return e.snap }
+
+// Mapper returns the engine's keyword mapper, pinned to its snapshot.
+func (e *Engine) Mapper() *keyword.Mapper { return e.mapper }
+
+// Joins returns the engine's join path generator.
+func (e *Engine) Joins() *joinpath.Generator { return e.joins }
 
 // CallOptions are per-request knobs for the query surface. A nil
 // *CallOptions means "engine defaults" everywhere; the zero value of any
@@ -227,12 +243,12 @@ func (o *CallOptions) nlidbOpts() nlidb.CallOptions {
 // instead of materializing and sorting the whole cartesian product; the
 // result is identical to sorting everything and slicing. ctx cancellation
 // aborts the enumeration mid-flight.
-func (s *System) MapKeywords(ctx context.Context, keywords []keyword.Keyword, opts *CallOptions) ([]keyword.Configuration, error) {
+func (e *Engine) MapKeywords(ctx context.Context, keywords []keyword.Keyword, opts *CallOptions) ([]keyword.Configuration, error) {
 	kco := opts.keywordOpts()
 	if opts != nil {
 		kco.TopK = opts.TopK
 	}
-	return s.mapper.MapKeywordsCtx(ctx, keywords, kco)
+	return e.mapper.MapKeywordsCtx(ctx, keywords, kco)
 }
 
 // InferJoins executes INFERJOINS (J = INFERJOINS(Gs, BD)): given the bag of
@@ -240,19 +256,19 @@ func (s *System) MapKeywords(ctx context.Context, keywords []keyword.Keyword, op
 // forking), it returns up to opts.TopK join paths (default 1) ranked from
 // most to least likely. ctx cancellation aborts the Steiner search
 // mid-flight.
-func (s *System) InferJoins(ctx context.Context, relationBag []string, opts *CallOptions) ([]joinpath.Path, error) {
+func (e *Engine) InferJoins(ctx context.Context, relationBag []string, opts *CallOptions) ([]joinpath.Path, error) {
 	topK := 1
 	if opts != nil && opts.TopK > 0 {
 		topK = opts.TopK
 	}
-	return s.engine().joins.InferCtx(ctx, relationBag, topK)
+	return e.joins.InferCtx(ctx, relationBag, topK)
 }
 
-// Translate runs the full NLQ→SQL pipeline over the shared mapper and join
-// generator: MAPKEYWORDS → INFERJOINS per configuration → SQL construction
-// → ranking. It is the one-call front the serving layer exposes; NLIDBs
+// Translate runs the full NLQ→SQL pipeline over the engine's mapper and
+// join generator: MAPKEYWORDS → INFERJOINS per configuration → SQL
+// construction → ranking. It is the one-call front the serving layer exposes; NLIDBs
 // that own their own SQL construction keep using MapKeywords + InferJoins.
 // ctx cancellation aborts enumeration and path search mid-pipeline.
-func (s *System) Translate(ctx context.Context, kws []keyword.Keyword, opts *CallOptions) (*nlidb.Translation, error) {
-	return s.engine().translator.TranslateCtx(ctx, "", false, kws, opts.nlidbOpts())
+func (e *Engine) Translate(ctx context.Context, kws []keyword.Keyword, opts *CallOptions) (*nlidb.Translation, error) {
+	return e.translator.TranslateCtx(ctx, "", false, kws, opts.nlidbOpts())
 }

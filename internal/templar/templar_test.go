@@ -4,6 +4,8 @@ import (
 	"context"
 	"reflect"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"templar/internal/db"
@@ -190,5 +192,48 @@ func TestFrozenSnapshotMatchesLive(t *testing.T) {
 		if cfgs[0].QFGScore != 0 || cfgs[0].Score != cfgs[0].SimScore {
 			t.Fatalf("%T source: nil log must yield the λ=1 baseline: %+v", src, cfgs[0])
 		}
+	}
+}
+
+// TestEngineNeverStaleAfterPublish pins the read side of a live republish:
+// readers released together right after a publish must all get the engine
+// over the snapshot just published — the rebuild is waited for, never
+// skipped by serving the engine it replaces — and they share one rebuild.
+func TestEngineNeverStaleAfterPublish(t *testing.T) {
+	live := qfg.NewLive(fixtureQFG(t))
+	sys := NewLive(fixtureDB(t), embedding.New(), live, Options{LogJoin: true})
+	q := sqlparse.MustParse("SELECT j.name FROM journal j, publication p WHERE p.jid = j.jid")
+
+	const rounds, readers = 200, 64
+	var stale atomic.Int64
+	for r := 0; r < rounds; r++ {
+		live.AddQueries([]*sqlparse.Query{q}, nil)
+		want := live.CurrentSnapshot()
+		engines := make([]*Engine, readers)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for i := range engines {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				<-start
+				if sys.Snapshot() != want {
+					stale.Add(1)
+				}
+				if engines[i] = sys.Engine(); engines[i].Snapshot() != want {
+					stale.Add(1)
+				}
+			}(i)
+		}
+		close(start)
+		wg.Wait()
+		for _, e := range engines {
+			if e != engines[0] {
+				t.Fatalf("round %d: readers of one snapshot got different engines", r)
+			}
+		}
+	}
+	if n := stale.Load(); n > 0 {
+		t.Fatalf("%d of %d reads were served a stale engine", n, 2*rounds*readers)
 	}
 }
