@@ -46,6 +46,7 @@ fuzz:
 	$(GO) test ./internal/sqlparse -fuzz 'FuzzParse$$' -fuzztime 30s
 	$(GO) test ./internal/sqlparse -fuzz 'FuzzParseLog$$' -fuzztime 30s
 	$(GO) test ./internal/keyword -fuzz 'FuzzParseSpec$$' -fuzztime 30s
+	$(GO) test ./internal/store -run '^$$' -fuzz 'FuzzDecode$$' -fuzztime 30s
 
 fmt:
 	@out="$$(gofmt -l .)"; \

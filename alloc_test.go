@@ -40,7 +40,7 @@ func allocSystem(t testing.TB) (*templarpkg.System, *datasets.Dataset) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys := templarpkg.NewLive(ds.DB, embedding.New(), graph.Snapshot(nil), templarpkg.Options{
+	sys := templarpkg.NewLive(ds.DB, embedding.New(), graph, templarpkg.Options{
 		Keyword: keyword.Options{K: 5, Lambda: 0.8},
 		LogJoin: true,
 	})

@@ -181,7 +181,7 @@ func BenchmarkMapKeywordsIndexed(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	mapper := keyword.NewMapper(ds.DB, embedding.New(), graph.Snapshot(nil),
+	mapper := keyword.NewMapper(ds.DB, embedding.New(), graph,
 		keyword.Options{K: 5, Lambda: 0.8})
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -210,7 +210,7 @@ func BenchmarkTranslateSnapshotQFG(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sys := templarpkg.NewLive(ds.DB, embedding.New(), graph.Snapshot(nil), templarpkg.Options{
+	sys := templarpkg.NewLive(ds.DB, embedding.New(), graph, templarpkg.Options{
 		Keyword: keyword.Options{K: 5, Lambda: 0.8},
 		LogJoin: true,
 	})

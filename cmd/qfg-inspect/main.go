@@ -34,7 +34,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strings"
 
 	"templar/internal/datasets"
@@ -77,7 +76,7 @@ func runInspect(args []string) {
 	)
 	fs.Parse(args)
 
-	g, _, err := mineGraph(*dataset, *logPath, *obscurity)
+	g, _, err := mineLog(*dataset, *logPath, *obscurity)
 	if err != nil {
 		fatal(err)
 	}
@@ -118,7 +117,7 @@ func runPack(args []string) {
 	)
 	fs.Parse(args)
 
-	g, dsName, err := mineGraph(*dataset, *logPath, *obscurity)
+	snap, dsName, err := mineLog(*dataset, *logPath, *obscurity)
 	if err != nil {
 		fatal(err)
 	}
@@ -132,7 +131,6 @@ func runPack(args []string) {
 	if path == "" {
 		path = store.Filename(dsName)
 	}
-	snap := g.Snapshot(nil)
 	if err := store.WriteFile(path, dsName, snap); err != nil {
 		fatal(err)
 	}
@@ -162,7 +160,7 @@ func runInfo(args []string) {
 	fmt.Printf("  edges:     %d\n", snap.Edges())
 	fmt.Printf("  wal seq:   %d\n", ar.WalSeq)
 
-	// v3 archives carry a fixed-layout section table: print it so an
+	// v3+ archives carry a fixed-layout section table: print it so an
 	// operator can see exactly which byte ranges are served zero-copy from
 	// the mapping. Older varint archives have no sections.
 	data, err := os.ReadFile(path)
@@ -177,7 +175,7 @@ func runInfo(args []string) {
 		fmt.Printf("  layout:    varint (pre-v3, decoded by copy)\n")
 		return
 	}
-	fmt.Printf("  layout:    fixed v3, %d sections (8-byte aligned, zero-copy mappable)\n", len(secs))
+	fmt.Printf("  layout:    fixed-width (v3+), %d sections (8-byte aligned, zero-copy mappable)\n", len(secs))
 	for _, s := range secs {
 		fmt.Printf("    %-10s off=%-8d len=%d\n", s.Name, s.Off, s.Len)
 	}
@@ -253,29 +251,13 @@ func runUnpack(args []string) {
 	snap := ar.Snapshot
 	fmt.Printf("%s: dataset=%s %s, %d queries, %d fragments, %d edges\n",
 		path, ar.Dataset, snap.Obscurity(), snap.Queries(), snap.Vertices(), snap.Edges())
-	frags := snap.Interner().Fragments()
 	if *top > 0 {
-		// The occurrence counts are already flat in the snapshot: sort IDs
-		// by nv instead of rehydrating the whole builder graph.
-		ids := make([]int, len(frags))
-		for i := range ids {
-			ids[i] = i
-		}
-		sort.Slice(ids, func(i, j int) bool {
-			a, b := snap.OccurrencesID(uint32(ids[i])), snap.OccurrencesID(uint32(ids[j]))
-			if a != b {
-				return a > b
-			}
-			return ids[i] < ids[j]
-		})
-		if len(ids) > *top {
-			ids = ids[:*top]
-		}
-		for _, id := range ids {
-			fmt.Printf("  %5dx %s\n", snap.OccurrencesID(uint32(id)), frags[id])
+		for _, e := range snap.Top(*top) {
+			fmt.Printf("  %5dx %s\n", e.Count, e.Fragment)
 		}
 		return
 	}
+	frags := snap.Interner().Fragments()
 	for id, f := range frags {
 		fmt.Printf("  %6d  nv=%-5d %s\n", id, snap.OccurrencesID(uint32(id)), f)
 	}
@@ -294,9 +276,9 @@ func readArchive(fs *flag.FlagSet) (string, *store.Archive) {
 	return path, ar
 }
 
-// mineGraph builds a QFG from a benchmark's gold SQL or a log file/stdin,
+// mineLog builds a QFG from a benchmark's gold SQL or a log file/stdin,
 // returning the dataset display name when one was used.
-func mineGraph(dataset, logPath, obscurity string) (*qfg.Graph, string, error) {
+func mineLog(dataset, logPath, obscurity string) (*qfg.Snapshot, string, error) {
 	ob, err := parseObscurity(obscurity)
 	if err != nil {
 		return nil, "", err
@@ -332,11 +314,11 @@ func mineGraph(dataset, logPath, obscurity string) (*qfg.Graph, string, error) {
 	if err != nil {
 		return nil, "", err
 	}
-	g, err := qfg.Build(entries, ob)
+	s, err := qfg.Build(entries, ob)
 	if err != nil {
 		return nil, "", err
 	}
-	return g, name, nil
+	return s, name, nil
 }
 
 func parseObscurity(s string) (fragment.Obscurity, error) {

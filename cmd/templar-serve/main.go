@@ -323,7 +323,7 @@ func main() {
 // re-mining the gold-SQL log otherwise — in which case the freshly built
 // snapshot is packed back into the store so the next boot is fast. The
 // engine always serves a live log; appends keep working either way because
-// a store-loaded snapshot is rehydrated into a builder graph. With a WAL
+// they splice new snapshots from the published one. With a WAL
 // directory, the tenant's write-ahead log is attached last: any records
 // past the snapshot's recorded sequence are replayed, so the engine comes
 // up byte-identical to one that never crashed. ctx honors the Loader
@@ -350,7 +350,7 @@ func loadTenant(ctx context.Context, name, storeDir, walDir string, walSync time
 		// the copying decode inside Open.
 		switch m, err := store.Open(path); {
 		case err == nil:
-			live = qfg.NewLiveFromSnapshot(m.Snapshot)
+			live = qfg.NewLive(m.Snapshot)
 			source = "store"
 			snapshotSeq = m.WalSeq
 			if m.Mmapped() {
@@ -459,7 +459,7 @@ func followTenant(ctx context.Context, name, primary string, opts templar.Option
 // buildQFG folds every benchmark gold query into the training log,
 // checking for cancellation between queries so an abandoned admin load
 // frees its pool worker promptly.
-func buildQFG(ctx context.Context, ds *datasets.Dataset) (*qfg.Graph, error) {
+func buildQFG(ctx context.Context, ds *datasets.Dataset) (*qfg.Snapshot, error) {
 	entries := make([]sqlparse.LogEntry, 0, len(ds.Tasks))
 	for _, t := range ds.Tasks {
 		if err := ctx.Err(); err != nil {

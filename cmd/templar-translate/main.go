@@ -113,7 +113,7 @@ func main() {
 		}
 	}
 	opts := eval.Options{K: *kappa, Lambda: *lambda, Obscurity: fragment.NoConstOp}
-	sys, err := eval.NewSystem(ds, name, embedding.New(), graph.Snapshot(nil), opts)
+	sys, err := eval.NewSystem(ds, name, embedding.New(), graph, opts)
 	if err != nil {
 		fatal(fmt.Errorf("unknown system %q", *system))
 	}
@@ -217,7 +217,7 @@ func wireKeywords(kws []keyword.Keyword) api.KeywordsInput {
 }
 
 // buildQFG folds every benchmark gold query except the held-out task.
-func buildQFG(ds *datasets.Dataset, holdout string) (*qfg.Graph, error) {
+func buildQFG(ds *datasets.Dataset, holdout string) (*qfg.Snapshot, error) {
 	var entries []sqlparse.LogEntry
 	for _, t := range ds.Tasks {
 		if t.ID == holdout {

@@ -53,7 +53,7 @@ func main() {
 	fmt.Printf("  SQL:         %s\n\n", trBase.Rendered)
 
 	// Example 3: Templar's log evidence corrects both decisions.
-	plus := nlidb.NewSystem("Pipeline+", ds.DB, model, nlidb.Config{Keyword: opts, QFG: graph.Snapshot(nil), LogJoin: true})
+	plus := nlidb.NewSystem("Pipeline+", ds.DB, model, nlidb.Config{Keyword: opts, QFG: graph, LogJoin: true})
 	trPlus, err := plus.Translate(task.NLQ, task.Hazard, task.Keywords)
 	must(err)
 	fmt.Println("Pipeline+ (Example 3 — the fix):")

@@ -48,7 +48,7 @@ func main() {
 	}
 	graph, err := qfg.Build(entries, fragment.NoConstOp)
 	must(err)
-	must(store.WriteFile(filepath.Join(storeDir, store.Filename(ds.Name)), ds.Name, graph.Snapshot(nil)))
+	must(store.WriteFile(filepath.Join(storeDir, store.Filename(ds.Name)), ds.Name, graph))
 
 	// 2. Boot a durable server: engine from the snapshot, WAL attached.
 	srv1, tn1 := boot(ds, storeDir, walDir)
@@ -95,12 +95,12 @@ func main() {
 }
 
 // boot assembles a durable tenant the way templar-serve -store -wal does:
-// load the packed snapshot, rehydrate a live engine, attach the WAL (which
+// load the packed snapshot, publish it as a live log, attach the WAL (which
 // replays any tail past the snapshot's recorded sequence).
 func boot(ds *datasets.Dataset, storeDir, walDir string) (*httptest.Server, *serve.Tenant) {
 	ar, err := store.ReadFile(filepath.Join(storeDir, store.Filename(ds.Name)))
 	must(err)
-	sys := templar.NewLive(ds.DB, embedding.New(), qfg.NewLiveFromSnapshot(ar.Snapshot), templar.Options{LogJoin: true})
+	sys := templar.NewLive(ds.DB, embedding.New(), qfg.NewLive(ar.Snapshot), templar.Options{LogJoin: true})
 	tn := &serve.Tenant{
 		Name:        ds.Name,
 		Sys:         sys,

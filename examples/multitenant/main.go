@@ -42,19 +42,19 @@ func main() {
 		graph, err := qfg.Build(entries, fragment.NoConstOp)
 		must(err)
 		path := filepath.Join(dir, store.Filename(ds.Name))
-		must(store.WriteFile(path, ds.Name, graph.Snapshot(nil)))
+		must(store.WriteFile(path, ds.Name, graph))
 		fmt.Printf("packed %s → %s\n", ds.Name, filepath.Base(path))
 	}
 
 	// 2. Serve from the store: each engine cold-starts from one file read.
-	// NewLiveFromSnapshot rehydrates a builder graph behind the loaded
-	// snapshot, so live log appends keep working after a store boot.
+	// NewLive publishes the loaded snapshot as is; live log appends splice
+	// new snapshots from it, so they keep working after a store boot.
 	reg := serve.NewRegistry()
 	for _, ds := range []*datasets.Dataset{datasets.MAS(), datasets.Yelp()} {
 		start := time.Now()
 		ar, err := store.ReadFile(filepath.Join(dir, store.Filename(ds.Name)))
 		must(err)
-		sys := templar.NewLive(ds.DB, embedding.New(), qfg.NewLiveFromSnapshot(ar.Snapshot), templar.Options{LogJoin: true})
+		sys := templar.NewLive(ds.DB, embedding.New(), qfg.NewLive(ar.Snapshot), templar.Options{LogJoin: true})
 		must(reg.Add(&serve.Tenant{Name: ar.Dataset, Sys: sys, Source: "store", LoadTime: time.Since(start)}))
 		fmt.Printf("loaded %s from store in %s (%d logged queries)\n",
 			ar.Dataset, time.Since(start).Round(time.Microsecond), ar.Snapshot.Queries())

@@ -57,7 +57,7 @@ func main() {
 	// front-end has already parsed it into keywords with metadata.
 	sys := nlidb.NewSystem("Pipeline+", d, embedding.New(), nlidb.Config{
 		Keyword: keyword.Options{Obscurity: fragment.NoConstOp},
-		QFG:     graph.Snapshot(nil),
+		QFG:     graph,
 		LogJoin: true,
 	})
 	kws := []keyword.Keyword{

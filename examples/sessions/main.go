@@ -34,17 +34,21 @@ func main() {
 	title := fragment.Attr("publication.title", "")
 
 	// Without sessions: each query folded independently.
-	plain := qfg.New(fragment.NoConstOp)
-	for _, q := range queries {
-		plain.AddQuery(q, 1)
-	}
+	empty, err := qfg.Build(nil, fragment.NoConstOp)
+	must(err)
+	plainLog := qfg.NewLive(empty)
+	plainLog.AddQueries(queries, nil)
+	plain := plainLog.CurrentSnapshot()
 	fmt.Println("Definition 6 graph (queries folded independently):")
 	fmt.Printf("  ne(j.name SELECT, p.title SELECT) = %d\n", plain.CoOccurrences(jname, title))
 	fmt.Printf("  Dice = %.3f\n\n", plain.Dice(jname, title))
 
 	// With sessions: the same two queries folded as one session.
-	sess := qfg.New(fragment.NoConstOp)
-	must(sess.AddSession(queries, 1, 0.5))
+	empty, err = qfg.Build(nil, fragment.NoConstOp)
+	must(err)
+	sessLog := qfg.NewLive(empty)
+	must(sessLog.AddSession(queries, 1, 0.5))
+	sess := sessLog.CurrentSnapshot()
 	fmt.Println("Session-aware graph (decay 0.5):")
 	fmt.Printf("  within-query ne            = %d\n", sess.CoOccurrences(jname, title))
 	fmt.Printf("  cross-query session weight = %.3f\n", sess.SessionCoOccurrence(jname, title))

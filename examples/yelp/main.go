@@ -66,7 +66,7 @@ func main() {
 	must(err)
 	fmt.Printf("Pipeline:  %s\n  tie for first place: %v\n", trBase.Rendered, trBase.Tie)
 
-	plus := nlidb.NewSystem("Pipeline+", ds.DB, model, nlidb.Config{Keyword: opts, QFG: graph.Snapshot(nil), LogJoin: true})
+	plus := nlidb.NewSystem("Pipeline+", ds.DB, model, nlidb.Config{Keyword: opts, QFG: graph, LogJoin: true})
 	trPlus, err := plus.Translate(task.NLQ, task.Hazard, task.Keywords)
 	must(err)
 	fmt.Printf("Pipeline+: %s\n  tie for first place: %v\n", trPlus.Rendered, trPlus.Tie)

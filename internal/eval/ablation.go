@@ -22,7 +22,7 @@ type Variant struct {
 	Keyword func(keyword.Options) keyword.Options
 	// JoinWeights builds the join weight function from the trial's QFG
 	// (nil keeps the paper's LogWeights).
-	JoinWeights func(g *qfg.Graph) joinpath.WeightFunc
+	JoinWeights func(g *qfg.Snapshot) joinpath.WeightFunc
 }
 
 // DesignVariants returns the paper's configuration plus one variant per
@@ -46,7 +46,7 @@ func DesignVariants() []Variant {
 		},
 		{
 			Name: "raw-count-weights",
-			JoinWeights: func(g *qfg.Graph) joinpath.WeightFunc {
+			JoinWeights: func(g *qfg.Snapshot) joinpath.WeightFunc {
 				return joinpath.CountWeights(g)
 			},
 		},
@@ -69,7 +69,7 @@ func EvaluateVariant(ds *datasets.Dataset, v Variant, opts Options) (Metrics, er
 		if v.Keyword != nil {
 			kwOpts = v.Keyword(kwOpts)
 		}
-		cfg := nlidb.Config{Keyword: kwOpts, QFG: graph.Snapshot(nil), LogJoin: !opts.DisableLogJoin}
+		cfg := nlidb.Config{Keyword: kwOpts, QFG: graph, LogJoin: !opts.DisableLogJoin}
 		if v.JoinWeights != nil {
 			cfg.JoinWeights = v.JoinWeights(graph)
 		}

@@ -34,7 +34,7 @@ func TemplateBreakdown(ds *datasets.Dataset, system SystemName, opts Options) (s
 		if err != nil {
 			return "", err
 		}
-		sys, err := NewSystem(ds, system, model, graph.Snapshot(nil), opts)
+		sys, err := NewSystem(ds, system, model, graph, opts)
 		if err != nil {
 			return "", err
 		}

@@ -143,11 +143,10 @@ func Evaluate(ds *datasets.Dataset, systems []SystemName, opts Options) (Result,
 	model := embedding.New()
 
 	for trial := 0; trial < opts.Folds; trial++ {
-		graph, err := trainQFG(ds, folds, trial, opts.Obscurity)
+		snap, err := trainQFG(ds, folds, trial, opts.Obscurity)
 		if err != nil {
 			return nil, err
 		}
-		snap := graph.Snapshot(nil)
 		built := make(map[SystemName]*nlidb.System, len(systems))
 		for _, name := range systems {
 			if built[name], err = NewSystem(ds, name, model, snap, opts); err != nil {
@@ -193,7 +192,7 @@ func scoreFold(ds *datasets.Dataset, idxs []int, systems []SystemName, built map
 // trainQFG builds the query fragment graph from the gold SQL of every fold
 // except the held-out one (the paper's protocol: test queries never appear
 // in the log used to translate them).
-func trainQFG(ds *datasets.Dataset, folds [][]int, holdout int, ob fragment.Obscurity) (*qfg.Graph, error) {
+func trainQFG(ds *datasets.Dataset, folds [][]int, holdout int, ob fragment.Obscurity) (*qfg.Snapshot, error) {
 	var entries []sqlparse.LogEntry
 	for f, idxs := range folds {
 		if f == holdout {

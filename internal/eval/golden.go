@@ -137,7 +137,7 @@ func BuildGolden(ds *datasets.Dataset, ob fragment.Obscurity, opts GoldenOptions
 	if err != nil {
 		return nil, err
 	}
-	sys := templar.NewLive(ds.DB, embedding.New(), graph.Snapshot(nil), templar.Options{
+	sys := templar.NewLive(ds.DB, embedding.New(), graph, templar.Options{
 		Keyword: keyword.Options{K: opts.K, Lambda: opts.Lambda, Obscurity: ob},
 		LogJoin: true,
 	})

@@ -62,12 +62,12 @@ func TestGoldenMmapDecodeParity(t *testing.T) {
 					t.Fatal(err)
 				}
 				path := filepath.Join(t.TempDir(), store.Filename(ds.Name))
-				if err := store.WriteFile(path, ds.Name, graph.Snapshot(nil)); err != nil {
+				if err := store.WriteFile(path, ds.Name, graph); err != nil {
 					t.Fatal(err)
 				}
 
 				sysFrom := func(s *qfg.Snapshot) *templar.System {
-					return templar.NewLive(ds.DB, embedding.New(), qfg.NewLiveFromSnapshot(s), templar.Options{
+					return templar.NewLive(ds.DB, embedding.New(), qfg.NewLive(s), templar.Options{
 						Keyword: keyword.Options{K: opts.K, Lambda: opts.Lambda, Obscurity: ob},
 						LogJoin: true,
 					})

@@ -43,7 +43,7 @@ func evaluateWithSessions(ds *datasets.Dataset, decay float64, opts Options) (Me
 		if err != nil {
 			return Metrics{}, err
 		}
-		sys, err := NewSystem(ds, PipelinePlus, model, graph.Snapshot(nil), opts)
+		sys, err := NewSystem(ds, PipelinePlus, model, graph, opts)
 		if err != nil {
 			return Metrics{}, err
 		}
@@ -55,9 +55,9 @@ func evaluateWithSessions(ds *datasets.Dataset, decay float64, opts Options) (Me
 }
 
 // trainSessionQFG groups the training tasks by template, splits each group
-// into sessions of up to four queries, and folds them with AddSession.
+// into sessions of up to four queries, and folds them in with one Replay.
 // decay <= 0 degenerates to plain per-query folding.
-func trainSessionQFG(ds *datasets.Dataset, folds [][]int, holdout int, ob fragment.Obscurity, decay float64) (*qfg.Graph, error) {
+func trainSessionQFG(ds *datasets.Dataset, folds [][]int, holdout int, ob fragment.Obscurity, decay float64) (*qfg.Snapshot, error) {
 	byTemplate := make(map[string][]*sqlparse.Query)
 	var order []string
 	for f, idxs := range folds {
@@ -79,25 +79,23 @@ func trainSessionQFG(ds *datasets.Dataset, folds [][]int, holdout int, ob fragme
 			byTemplate[task.Template] = append(byTemplate[task.Template], q)
 		}
 	}
-	g := qfg.New(ob)
+	var ops []qfg.ReplayOp
 	const sessionLen = 4
 	for _, tpl := range order {
 		queries := byTemplate[tpl]
 		for start := 0; start < len(queries); start += sessionLen {
-			end := start + sessionLen
-			if end > len(queries) {
-				end = len(queries)
-			}
-			if decay <= 0 {
-				for _, q := range queries[start:end] {
-					g.AddQuery(q, 1)
-				}
-				continue
-			}
-			if err := g.AddSession(queries[start:end], 1, decay); err != nil {
-				return nil, err
-			}
+			end := min(start+sessionLen, len(queries))
+			// decay <= 0 folds each query on its own: a plain batch.
+			ops = append(ops, qfg.ReplayOp{Session: decay > 0, Queries: queries[start:end], Count: 1, Decay: decay})
 		}
 	}
-	return g, nil
+	empty, err := qfg.Build(nil, ob)
+	if err != nil {
+		return nil, err
+	}
+	live := qfg.NewLive(empty)
+	if err := live.Replay(ops); err != nil {
+		return nil, err
+	}
+	return live.CurrentSnapshot(), nil
 }

@@ -24,9 +24,9 @@
 // and weight function; Infer then answers one relation bag, cloning the
 // precomputed graph per call so a Generator is safe for any number of
 // concurrent callers. LogWeights derives the log-driven weight function
-// from anything exposing Dice over relation pairs (a qfg.Graph or a
-// compiled qfg.Snapshot — with live logs, weights are baked from the
-// current snapshot at engine-build time, see templar.System). CountWeights
+// from anything exposing Dice over relation pairs (a qfg.Snapshot — with
+// live logs, weights are baked from the current snapshot at engine-build
+// time, see templar.System). CountWeights
 // is the raw-co-occurrence ablation; UniformWeights is the shortest-path
 // baseline. Path carries the inferred join edges with their Score and the
 // Goodness value the NLIDB ranking blends in.

@@ -30,7 +30,7 @@ func TestArithmeticMeanOption(t *testing.T) {
 }
 
 func TestIncludeFromInQFGOption(t *testing.T) {
-	snap := paperishLog(t, fragment.NoConstOp).Snapshot(nil)
+	snap := paperishLog(t, fragment.NoConstOp)
 	base := NewMapper(masMini(t), embedding.New(), snap, Options{})
 	withFrom := NewMapper(masMini(t), embedding.New(), snap, Options{IncludeFromInQFG: true})
 	cfg := Configuration{Mappings: []Mapping{

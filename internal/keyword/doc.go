@@ -21,8 +21,8 @@
 // cache, and QFG scoring probes an immutable interned-ID snapshot with
 // zero locking. There is one retrieval path and one scoring path; the
 // package tests pin them to the references they replace — db's
-// FindTextAttrs/FindNumericAttrs probes and qfg.Graph's Dice,
-// Occurrences and Queries.
+// FindTextAttrs/FindNumericAttrs probes and Dice, Occurrences and Queries
+// recomputed from plain fragment-keyed counts of the log.
 //
 // Keyword carries the parser metadata M_k = (τ, ω, F, g) of §V-A;
 // ParseSpec builds keyword lists from the compact "text:context[:op|:agg]"

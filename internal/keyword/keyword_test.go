@@ -45,7 +45,7 @@ func masMini(t testing.TB) *db.Database {
 
 // paperishLog builds a QFG in which publication.title co-occurs with year
 // predicates and journal-name predicates, as in Figure 3.
-func paperishLog(t testing.TB, ob fragment.Obscurity) *qfg.Graph {
+func paperishLog(t testing.TB, ob fragment.Obscurity) *qfg.Snapshot {
 	t.Helper()
 	log := `
 25x: SELECT j.name FROM journal j
@@ -69,7 +69,7 @@ func newMapper(t testing.TB, withQFG bool, opts Options) *Mapper {
 	d := masMini(t)
 	var snap *qfg.Snapshot
 	if withQFG {
-		snap = paperishLog(t, opts.Obscurity).Snapshot(nil)
+		snap = paperishLog(t, opts.Obscurity)
 	}
 	return NewMapper(d, embedding.New(), snap, opts)
 }

@@ -14,10 +14,13 @@ import (
 	"templar/internal/sqlparse"
 )
 
-// goldLog mines the dataset's complete gold-SQL log at one obscurity level.
-func goldLog(t *testing.T, ds *datasets.Dataset, ob fragment.Obscurity) *qfg.Graph {
+// goldLog mines the dataset's complete gold-SQL log at one obscurity level,
+// into the snapshot the mapper scores against and into refLog's plain
+// fragment-keyed counts.
+func goldLog(t *testing.T, ds *datasets.Dataset, ob fragment.Obscurity) (*qfg.Snapshot, *refLog) {
 	t.Helper()
 	entries := make([]sqlparse.LogEntry, 0, len(ds.Tasks))
+	ref := &refLog{ob: ob, nv: make(map[fragment.Fragment]int), ne: make(map[[2]fragment.Fragment]int)}
 	for _, task := range ds.Tasks {
 		q, err := sqlparse.Parse(task.Gold)
 		if err != nil {
@@ -25,11 +28,45 @@ func goldLog(t *testing.T, ds *datasets.Dataset, ob fragment.Obscurity) *qfg.Gra
 		}
 		entries = append(entries, sqlparse.LogEntry{Query: q, Count: 1})
 	}
-	g, err := qfg.Build(entries, ob)
+	snap, err := qfg.Build(entries, ob)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return g
+	for _, e := range entries { // resolved in place by Build
+		frags := fragment.Extract(e.Query, ob)
+		ref.queries++
+		for i, a := range frags {
+			ref.nv[a]++
+			for _, b := range frags[i+1:] {
+				ref.ne[[2]fragment.Fragment{a, b}]++
+				ref.ne[[2]fragment.Fragment{b, a}]++
+			}
+		}
+	}
+	return snap, ref
+}
+
+// refLog is Definition 6 counted as directly as possible — fragment-keyed
+// maps, no interning and no snapshot — the independent reference the
+// mapper's ID-based scoring is held to.
+type refLog struct {
+	ob      fragment.Obscurity
+	queries int
+	nv      map[fragment.Fragment]int
+	ne      map[[2]fragment.Fragment]int
+}
+
+// dice is 2·ne / (nv(a) + nv(b)), nv(a) standing in for ne(a, a).
+func (r *refLog) dice(a, b fragment.Fragment) float64 {
+	na, nb := r.nv[a], r.nv[b]
+	if na+nb == 0 {
+		return 0
+	}
+	ne := na
+	if a != b {
+		ne = r.ne[[2]fragment.Fragment{a, b}]
+	}
+	return min(2*float64(ne)/float64(na+nb), 1)
 }
 
 // sameMatches compares probe results, treating nil and empty as equal.
@@ -93,22 +130,21 @@ func TestCandidateIndexMatchesDatabaseProbes(t *testing.T) {
 	}
 }
 
-// graphQFGScore recomputes ScoreQFG (§V-C2) from the mutable graph's
-// fragment-keyed Dice, Occurrences and Queries: the geometric mean of Dice
+// refQFGScore recomputes ScoreQFG (§V-C2) from the reference counts: the geometric mean of Dice
 // over the pairs of participating fragments (non-FROM unless includeFrom)
 // in mapping order (i < j), the marginal frequency for a lone fragment,
 // and 0 when any pair never co-occurs.
-func graphQFGScore(g *qfg.Graph, cfg keyword.Configuration, includeFrom bool) float64 {
+func refQFGScore(g *refLog, cfg keyword.Configuration, includeFrom bool) float64 {
 	var frags []fragment.Fragment
 	for _, mp := range cfg.Mappings {
 		if includeFrom || mp.Kind != keyword.KindRelation {
-			frags = append(frags, mp.Fragment(g.Obscurity()))
+			frags = append(frags, mp.Fragment(g.ob))
 		}
 	}
 	pairs, diceLog, zero := 0, 0.0, false
 	for i := range frags {
 		for j := i + 1; j < len(frags); j++ {
-			d := g.Dice(frags[i], frags[j])
+			d := g.dice(frags[i], frags[j])
 			pairs++
 			if d <= 0 {
 				zero = true
@@ -119,8 +155,8 @@ func graphQFGScore(g *qfg.Graph, cfg keyword.Configuration, includeFrom bool) fl
 	}
 	switch {
 	case pairs == 0 && len(frags) == 1:
-		if q := g.Queries(); q > 0 {
-			return float64(g.Occurrences(frags[0])) / float64(q)
+		if q := g.queries; q > 0 {
+			return float64(g.nv[frags[0]]) / float64(q)
 		}
 		return 0
 	case pairs == 0, zero:
@@ -130,7 +166,7 @@ func graphQFGScore(g *qfg.Graph, cfg keyword.Configuration, includeFrom bool) fl
 }
 
 // TestSnapshotQFGScoreMatchesGraphDice pins the one scoring path — interned
-// IDs probed against the compiled snapshot — to the map-backed Graph.Dice
+// IDs probed against the compiled snapshot — to the map-backed refLog Dice
 // reference: for every benchmark task at every obscurity level, with and
 // without the IncludeFromInQFG ablation, every returned configuration's
 // QFGScore must be bit-identical to the recomputation above.
@@ -139,8 +175,7 @@ func TestSnapshotQFGScoreMatchesGraphDice(t *testing.T) {
 		ds := ds
 		t.Run(ds.Name, func(t *testing.T) {
 			for _, ob := range []fragment.Obscurity{fragment.Full, fragment.NoConst, fragment.NoConstOp} {
-				g := goldLog(t, ds, ob)
-				snap := g.Snapshot(nil)
+				snap, ref := goldLog(t, ds, ob)
 				for _, includeFrom := range []bool{false, true} {
 					m := keyword.NewMapper(ds.DB, embedding.New(), snap, keyword.Options{IncludeFromInQFG: includeFrom})
 					scored := 0
@@ -158,9 +193,9 @@ func TestSnapshotQFGScoreMatchesGraphDice(t *testing.T) {
 							}
 						}
 						for _, cfg := range cfgs {
-							want := graphQFGScore(g, cfg, includeFrom)
+							want := refQFGScore(ref, cfg, includeFrom)
 							if math.Float64bits(cfg.QFGScore) != math.Float64bits(want) {
-								t.Fatalf("%v includeFrom=%v %s: QFGScore = %v, Graph.Dice recomputation = %v\n%v",
+								t.Fatalf("%v includeFrom=%v %s: QFGScore = %v, reference recomputation = %v\n%v",
 									ob, includeFrom, task.ID, cfg.QFGScore, want, cfg.Mappings)
 							}
 							if cfg.QFGScore > 0 {

@@ -14,7 +14,7 @@ import (
 //	go test ./internal/keyword -bench 'Rank|MapKeywords' -benchmem
 
 func benchMapper(b *testing.B) *Mapper {
-	snap := paperishLog(b, fragment.NoConstOp).Snapshot(nil)
+	snap := paperishLog(b, fragment.NoConstOp)
 	return NewMapper(masMini(b), embedding.New(), snap, Options{})
 }
 

@@ -93,7 +93,7 @@ func exampleQFG(t testing.TB) *qfg.Snapshot {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return g.Snapshot(nil)
+	return g
 }
 
 // pipelinePlus is the Templar-augmented pipeline of §VII-A2 over snap.

@@ -1,101 +1,81 @@
 package qfg
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 
-	"templar/internal/fragment"
 	"templar/internal/sqlparse"
 )
 
-// Live couples a mutable builder Graph with an atomically published
-// Snapshot: readers load the current snapshot with one atomic pointer read
-// and never block, while log appends mutate the builder and republish a
-// freshly compiled snapshot (copy-on-write). All snapshots share one
-// interning table, so fragment IDs stay stable across republishes.
+// Live is a growing query log: an atomically published Snapshot that
+// appends replace copy-on-write. Readers load the current snapshot with
+// one atomic pointer read and never block; an append splices a new
+// snapshot from the current one (see splice.go) and publishes it. Every
+// snapshot of one Live shares one interning table, so fragment IDs stay
+// stable across publishes.
 //
-// Appends recompile the full snapshot, so they cost O(V + E); they are
-// expected to be rare relative to reads (a serving layer folding user
-// queries back into its log). Concurrent appends serialize on an internal
-// mutex.
+// An append costs its own fragments and edges plus one bulk copy of the
+// untouched CSR ranges. Concurrent appends serialize on an internal mutex.
 type Live struct {
-	mu       sync.Mutex // serializes builder mutations + republish
-	builder  *Graph
-	interner *fragment.Interner
-	snap     atomic.Pointer[Snapshot]
+	mu   sync.Mutex // serializes splice + publish
+	snap atomic.Pointer[Snapshot]
 }
 
-// NewLive wraps a builder graph and publishes its first snapshot. The
-// builder must not be mutated directly afterwards — append through Live.
-func NewLive(g *Graph) *Live {
-	l := &Live{builder: g, interner: fragment.NewInterner()}
-	l.snap.Store(g.Snapshot(l.interner))
+// NewLive publishes s as the first snapshot of a growing log — a fresh
+// Build, or an archive loaded from the store, bit for bit. The snapshot's
+// interner keeps assigning IDs, so fragments already in s keep theirs
+// across every later publish.
+func NewLive(s *Snapshot) *Live {
+	l := &Live{}
+	l.snap.Store(s)
 	return l
 }
+
+// NewLiveFromSnapshot is NewLive.
+//
+// Deprecated: use NewLive.
+func NewLiveFromSnapshot(s *Snapshot) *Live { return NewLive(s) }
 
 // CurrentSnapshot returns the latest published snapshot (lock-free).
 func (l *Live) CurrentSnapshot() *Snapshot { return l.snap.Load() }
 
-// Obscurity returns the builder graph's obscurity level.
-func (l *Live) Obscurity() fragment.Obscurity { return l.builder.Obscurity() }
-
 // AddQuery folds one alias-resolved query into the log and republishes.
 func (l *Live) AddQuery(q *sqlparse.Query, count int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.builder.AddQuery(q, count)
-	l.snap.Store(l.builder.Snapshot(l.interner))
+	l.AddQueries([]*sqlparse.Query{q}, []int{count})
 }
 
 // AddQueries folds a batch of alias-resolved queries into the log and
-// republishes once: readers see either none or all of the batch, and the
-// O(V + E) snapshot compile is paid per batch, not per query. counts[i] is
-// the multiplicity of queries[i]; a nil counts applies 1 to every query.
+// republishes once: readers see either none or all of the batch.
+// counts[i] is the multiplicity of queries[i]; a nil counts applies 1 to
+// every query.
 func (l *Live) AddQueries(queries []*sqlparse.Query, counts []int) {
 	if counts != nil && len(counts) != len(queries) {
-		// Fail before touching the builder: a partial batch must never be
+		// Fail before touching the log: a partial batch must never be
 		// half-applied.
 		panic("qfg: AddQueries counts length does not match queries")
 	}
 	if len(queries) == 0 {
 		return
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for i, q := range queries {
-		count := 1
-		if counts != nil {
-			count = counts[i]
-		}
-		l.builder.AddQuery(q, count)
-	}
-	l.snap.Store(l.builder.Snapshot(l.interner))
+	_ = l.Replay([]ReplayOp{{Queries: queries, Counts: counts}}) // only sessions can fail
 }
 
 // AddSession folds an ordered session of alias-resolved queries into the
-// log (see Graph.AddSession) and republishes.
+// log (see session.go) and republishes.
 func (l *Live) AddSession(queries []*sqlparse.Query, count int, decay float64) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if err := l.builder.AddSession(queries, count, decay); err != nil {
-		return err
-	}
-	l.snap.Store(l.builder.Snapshot(l.interner))
-	return nil
+	return l.Replay([]ReplayOp{{Session: true, Queries: queries, Count: count, Decay: decay}})
 }
 
 // Reset replaces the live state in place with the given snapshot, exactly
-// as NewLiveFromSnapshot would build it: the builder is rehydrated from the
-// snapshot and the snapshot's interning table (with its pinned fragment
-// IDs) becomes the live one. Readers holding the Live see the new state on
-// their next CurrentSnapshot load — the re-bootstrap path a replication
-// follower takes when its applied position has been compacted away on the
-// primary.
+// as NewLive would publish it: the snapshot's interning table (with its
+// pinned fragment IDs) becomes the live one. Readers holding the Live see
+// the new state on their next CurrentSnapshot load — the re-bootstrap
+// path a replication follower takes when its applied position has been
+// compacted away on the primary.
 func (l *Live) Reset(s *Snapshot) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.builder = RehydrateGraph(s)
-	l.interner = s.interner
 	l.snap.Store(s)
 }
 
@@ -110,35 +90,31 @@ type ReplayOp struct {
 	Decay   float64
 }
 
-// Replay folds a sequence of recovered append operations into the log and
-// republishes once, producing a snapshot byte-identical to the one an
-// engine that had applied the same operations through AddQueries and
-// AddSession would serve. Identity holds because each operation's new
-// fragments are interned in sorted order before the next operation's — the
-// exact ID assignment the per-operation republishes would have made — and
-// edge weights accumulate in the same record order; only the O(V + E)
-// compile is deferred to the end. An error mid-replay (a corrupt operation
-// that validation upstream should have rejected) leaves the snapshot
-// unpublished and the Live unusable.
+// Replay folds a sequence of append operations into the log and
+// republishes once. The result is byte-identical to applying the same
+// operations one AddQueries/AddSession call at a time: each operation's
+// new fragments are interned in sorted order before the next operation's
+// — the IDs the per-operation publishes would have assigned — and edge
+// weights accumulate in the same operation order; only the splice is
+// shared. An invalid operation (a session decay outside (0, 1]) fails the
+// whole call before anything is folded, interned or published.
 func (l *Live) Replay(ops []ReplayOp) error {
+	for _, op := range ops {
+		if op.Session && (op.Decay <= 0 || op.Decay > 1) {
+			return fmt.Errorf("qfg: session decay %v outside (0, 1]", op.Decay)
+		}
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	base := l.snap.Load()
+	d := newDelta(base)
 	for _, op := range ops {
 		if op.Session {
-			if err := l.builder.AddSession(op.Queries, op.Count, op.Decay); err != nil {
-				return err
-			}
+			d.addSession(op.Queries, op.Count, op.Decay)
 		} else {
-			for i, q := range op.Queries {
-				count := 1
-				if op.Counts != nil {
-					count = op.Counts[i]
-				}
-				l.builder.AddQuery(q, count)
-			}
+			d.addQueries(op.Queries, op.Counts)
 		}
-		l.builder.internFragments(l.interner)
 	}
-	l.snap.Store(l.builder.Snapshot(l.interner))
+	l.snap.Store(splice(base, d))
 	return nil
 }

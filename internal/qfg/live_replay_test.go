@@ -125,7 +125,8 @@ SELECT p.title FROM publication p WHERE p.year > 2003
 }
 
 // TestReplayEmptyAndErrors pins the edges: an empty replay republishes the
-// base state unchanged, and an invalid session op surfaces its error.
+// base state unchanged, and an invalid session op surfaces its error
+// without applying any operation of the call.
 func TestReplayEmptyAndErrors(t *testing.T) {
 	entries, err := sqlparse.ParseLog("SELECT j.name FROM journal j")
 	if err != nil {
@@ -142,8 +143,18 @@ func TestReplayEmptyAndErrors(t *testing.T) {
 	}
 	assertSnapshotsBitIdentical(t, l.CurrentSnapshot(), before)
 
-	bad := []ReplayOp{{Session: true, Count: 1, Decay: 1.5, Queries: parseAll(t, "SELECT j.name FROM journal j")}}
+	// A valid operation ahead of the invalid one must not be applied, nor
+	// its new fragments interned.
+	before = l.CurrentSnapshot()
+	interned := before.Interner().Len()
+	bad := []ReplayOp{
+		{Queries: parseAll(t, "SELECT z.name FROM z_venue z")},
+		{Session: true, Count: 1, Decay: 1.5, Queries: parseAll(t, "SELECT j.name FROM journal j")},
+	}
 	if err := l.Replay(bad); err == nil {
 		t.Fatal("replay accepted an out-of-range session decay")
+	}
+	if l.CurrentSnapshot() != before || before.Interner().Len() != interned {
+		t.Fatal("a failed replay published or interned part of its operations")
 	}
 }

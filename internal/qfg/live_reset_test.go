@@ -8,7 +8,7 @@ import (
 )
 
 // TestReplayReset is the re-bootstrap gate: Reset must leave a Live in the
-// exact state NewLiveFromSnapshot would build — bit-identical snapshot,
+// exact state NewLive would publish — bit-identical snapshot,
 // pinned interner IDs — and the reset engine must stay a full peer, so
 // appends applied after the reset keep matching an engine that never
 // diverged. This is the path a replication follower takes when its tail

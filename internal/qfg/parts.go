@@ -6,7 +6,7 @@ import (
 	"templar/internal/fragment"
 )
 
-// SnapshotParts is the raw compiled state of a Snapshot, exposed so a
+// SnapshotParts is the raw state of a Snapshot, exposed so a
 // serialization layer (internal/store) can round-trip snapshots to disk
 // without qfg depending on any encoding. The slices are the snapshot's own
 // backing arrays — callers must treat them as read-only.
@@ -15,26 +15,37 @@ import (
 //
 //   - len(RowStart) == len(NV) + 1, with RowStart[0] == 0 and the values
 //     non-decreasing; RowStart[len(NV)] == len(ColID)
-//   - ColID, Co and NECount are parallel arrays of the same length, which
-//     is even (every undirected edge is stored as two half-edges)
+//   - ColID, Co, NECount and (when present) Sess are parallel arrays of
+//     the same length, which is even
 //   - within one row, ColID is strictly increasing and every ID indexes NV
+//
+// Every undirected edge is stored as two mirrored half-edges with equal
+// weights. That is not checked (it would cost a probe per half-edge on
+// every archive open): reads and splices stay in bounds without it, and a
+// corrupt archive that breaks it only reads asymmetric weights.
 type SnapshotParts struct {
 	Obscurity fragment.Obscurity
-	// Queries is the total logged queries at compile time.
+	// Queries is the total logged queries the snapshot covers.
 	Queries int
 	// NV[id] is the occurrence count of fragment id.
 	NV []int
-	// RowStart/ColID/Co/NECount are the CSR adjacency arrays: the
-	// neighbors of id are ColID[RowStart[id]:RowStart[id+1]], with the
-	// blended co-occurrence (float64(ne) + session evidence) in Co and the
-	// raw integer ne in NECount at the same index.
+	// RowStart/ColID/Co/NECount/Sess are the CSR adjacency arrays: the
+	// neighbors of id are ColID[RowStart[id]:RowStart[id+1]], with the raw
+	// integer ne in NECount, the accumulated session weight in Sess and the
+	// blended co-occurrence float64(ne) + Sess in Co at the same index.
 	RowStart []uint32
 	ColID    []uint32
 	Co       []float64
 	NECount  []int
+	// Sess is nil for archives written before the session weight was
+	// stored (store format v1–v3); NewSnapshotFromParts then derives it as
+	// Co − NECount. That recovers the session weight only up to the last
+	// bit Co rounded away, so later session appends onto such a snapshot
+	// can differ in the last bit from a log that never left memory.
+	Sess []float64
 }
 
-// Parts exposes the snapshot's compiled arrays for serialization. The
+// Parts exposes the snapshot's arrays for serialization. The
 // returned slices alias the snapshot — read-only.
 func (s *Snapshot) Parts() SnapshotParts {
 	return SnapshotParts{
@@ -45,6 +56,7 @@ func (s *Snapshot) Parts() SnapshotParts {
 		ColID:     s.colID,
 		Co:        s.co,
 		NECount:   s.neCount,
+		Sess:      s.sess,
 	}
 }
 
@@ -68,8 +80,8 @@ func NewSnapshotFromParts(in *fragment.Interner, p SnapshotParts) (*Snapshot, er
 		return nil, fmt.Errorf("qfg: row index length %d for %d vertices", len(p.RowStart), len(p.NV))
 	}
 	half := len(p.ColID)
-	if len(p.Co) != half || len(p.NECount) != half {
-		return nil, fmt.Errorf("qfg: adjacency arrays disagree: %d cols, %d co, %d ne", half, len(p.Co), len(p.NECount))
+	if len(p.Co) != half || len(p.NECount) != half || (p.Sess != nil && len(p.Sess) != half) {
+		return nil, fmt.Errorf("qfg: adjacency arrays disagree: %d cols, %d co, %d ne, %d sess", half, len(p.Co), len(p.NECount), len(p.Sess))
 	}
 	if half%2 != 0 {
 		return nil, fmt.Errorf("qfg: odd half-edge count %d", half)
@@ -97,6 +109,13 @@ func NewSnapshotFromParts(in *fragment.Interner, p SnapshotParts) (*Snapshot, er
 			}
 		}
 	}
+	sess := p.Sess
+	if sess == nil {
+		sess = make([]float64, half)
+		for i, co := range p.Co {
+			sess[i] = co - float64(p.NECount[i])
+		}
+	}
 	return &Snapshot{
 		obscurity: p.Obscurity,
 		interner:  in,
@@ -106,55 +125,7 @@ func NewSnapshotFromParts(in *fragment.Interner, p SnapshotParts) (*Snapshot, er
 		colID:     p.ColID,
 		co:        p.Co,
 		neCount:   p.NECount,
+		sess:      sess,
 		edges:     half / 2,
 	}, nil
-}
-
-// RehydrateGraph reconstructs a builder Graph from a compiled snapshot: nv
-// and ne come back as fragment-keyed maps, and any session evidence blended
-// into the snapshot's co-occurrence weights is recovered as the fractional
-// remainder over the integer ne. The result folds new queries exactly like
-// the graph the snapshot was compiled from, so a store-loaded dataset can
-// keep accepting live log appends.
-func RehydrateGraph(s *Snapshot) *Graph {
-	g := New(s.obscurity)
-	g.queries = s.queries
-	in := s.interner
-	frags := make([]fragment.Fragment, len(s.nv))
-	for id := range s.nv {
-		frags[id] = in.Fragment(uint32(id))
-		if s.nv[id] > 0 {
-			g.nv[frags[id]] = s.nv[id]
-		}
-	}
-	for a := 0; a < len(s.nv); a++ {
-		for i := s.rowStart[a]; i < s.rowStart[a+1]; i++ {
-			b := s.colID[i]
-			if uint32(a) >= b {
-				continue // each undirected edge is stored twice; keep a < b
-			}
-			pk := makePair(frags[a], frags[b])
-			if ne := s.neCount[i]; ne > 0 {
-				g.ne[pk] = ne
-			}
-			if sess := s.co[i] - float64(s.neCount[i]); sess > 0 {
-				if g.sessNe == nil {
-					g.sessNe = make(map[pairKey]float64)
-				}
-				g.sessNe[pk] = sess
-			}
-		}
-	}
-	return g
-}
-
-// NewLiveFromSnapshot builds a Live log around a loaded snapshot: the
-// snapshot itself is the first publication (so readers start from exactly
-// the stored state, bit for bit), the builder graph is rehydrated from it,
-// and the snapshot's interner keeps assigning IDs — fragments already in
-// the store keep their IDs across every subsequent republish.
-func NewLiveFromSnapshot(s *Snapshot) *Live {
-	l := &Live{builder: RehydrateGraph(s), interner: s.interner}
-	l.snap.Store(s)
-	return l
 }

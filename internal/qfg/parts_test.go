@@ -9,9 +9,10 @@ import (
 	"templar/internal/sqlparse"
 )
 
-// partsGraph builds a small graph carrying both within-query and session
-// evidence, so the round-trip exercises integer counts and blended floats.
-func partsGraph(t *testing.T) *Graph {
+// partsSnapshot builds a small snapshot carrying both within-query and
+// session evidence, so the round-trip exercises integer counts and blended
+// floats.
+func partsSnapshot(t *testing.T) *Snapshot {
 	t.Helper()
 	entries, err := sqlparse.ParseLog(`
 4x: SELECT j.name FROM journal j
@@ -21,14 +22,28 @@ SELECT p.title FROM journal j, publication p WHERE j.name = 'TMC' AND p.jid = j.
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := Build(entries, fragment.NoConstOp)
+	base, err := Build(entries, fragment.NoConstOp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := g.AddSession([]*sqlparse.Query{entries[0].Query, entries[2].Query}, 1, 0.5); err != nil {
+	live := NewLive(base)
+	if err := live.AddSession([]*sqlparse.Query{entries[0].Query, entries[2].Query}, 1, 0.5); err != nil {
 		t.Fatal(err)
 	}
-	return g
+	return live.CurrentSnapshot()
+}
+
+// copyParts deep-copies parts, so a test can edit them in place.
+func copyParts(p SnapshotParts) SnapshotParts {
+	p.NV = append([]int(nil), p.NV...)
+	p.RowStart = append([]uint32(nil), p.RowStart...)
+	p.ColID = append([]uint32(nil), p.ColID...)
+	p.Co = append([]float64(nil), p.Co...)
+	p.NECount = append([]int(nil), p.NECount...)
+	if p.Sess != nil {
+		p.Sess = append([]float64(nil), p.Sess...)
+	}
+	return p
 }
 
 func samePartsBits(a, b SnapshotParts) bool {
@@ -39,11 +54,15 @@ func samePartsBits(a, b SnapshotParts) bool {
 		!reflect.DeepEqual(a.ColID, b.ColID) || !reflect.DeepEqual(a.NECount, b.NECount) {
 		return false
 	}
-	if len(a.Co) != len(b.Co) {
+	return sameBits(a.Co, b.Co) && sameBits(a.Sess, b.Sess)
+}
+
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
 		return false
 	}
-	for i := range a.Co {
-		if math.Float64bits(a.Co[i]) != math.Float64bits(b.Co[i]) {
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
 			return false
 		}
 	}
@@ -51,7 +70,7 @@ func samePartsBits(a, b SnapshotParts) bool {
 }
 
 func TestSnapshotPartsRoundTrip(t *testing.T) {
-	snap := partsGraph(t).Snapshot(nil)
+	snap := partsSnapshot(t)
 	re, err := NewSnapshotFromParts(snap.Interner(), snap.Parts())
 	if err != nil {
 		t.Fatal(err)
@@ -74,18 +93,12 @@ func TestSnapshotPartsRoundTrip(t *testing.T) {
 }
 
 func TestNewSnapshotFromPartsValidation(t *testing.T) {
-	snap := partsGraph(t).Snapshot(nil)
+	snap := partsSnapshot(t)
 	good := snap.Parts()
 	in := snap.Interner()
 
 	mutate := func(name string, f func(p *SnapshotParts)) {
-		p := good
-		// Deep-copy the slices a case may edit in place.
-		p.NV = append([]int(nil), good.NV...)
-		p.RowStart = append([]uint32(nil), good.RowStart...)
-		p.ColID = append([]uint32(nil), good.ColID...)
-		p.Co = append([]float64(nil), good.Co...)
-		p.NECount = append([]int(nil), good.NECount...)
+		p := copyParts(good)
 		f(&p)
 		if _, err := NewSnapshotFromParts(in, p); err == nil {
 			t.Errorf("%s: invalid parts accepted", name)
@@ -118,28 +131,55 @@ func TestNewSnapshotFromPartsValidation(t *testing.T) {
 		p.NV = append(p.NV, 1)
 		p.RowStart = append(p.RowStart, p.RowStart[len(p.RowStart)-1])
 	})
+	mutate("session array disagreeing", func(p *SnapshotParts) { p.Sess = p.Sess[:len(p.Sess)-1] })
 }
 
-// TestRehydrateGraph rebuilds a mutable graph from a compiled snapshot and
-// re-snapshots it against the same interner: every array must come back bit
-// for bit, and the rehydrated graph must agree with the original on the
-// map-backed accessors too.
-func TestRehydrateGraph(t *testing.T) {
-	g := partsGraph(t)
-	snap := g.Snapshot(nil)
-	re := RehydrateGraph(snap)
-	if re.Queries() != g.Queries() || re.Vertices() != g.Vertices() || re.Edges() != g.Edges() || re.SessionEdges() != g.SessionEdges() {
-		t.Fatalf("rehydrated stats %d/%d/%d/%d, want %d/%d/%d/%d",
-			re.Queries(), re.Vertices(), re.Edges(), re.SessionEdges(),
-			g.Queries(), g.Vertices(), g.Edges(), g.SessionEdges())
+// TestLiveFromPartsKeepsFolding is the in-package half of the store round
+// trip: a snapshot reassembled from its parts, published by NewLive, must
+// fold later session appends bit for bit like the snapshot it came from
+// (session weights included). Reassembled from parts without Sess — what a
+// v1–v3 archive carries — it still serves the same reads.
+func TestLiveFromPartsKeepsFolding(t *testing.T) {
+	snap := partsSnapshot(t)
+	re, err := NewSnapshotFromParts(snap.Interner(), copyParts(snap.Parts()))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !samePartsBits(re.Snapshot(snap.Interner()).Parts(), snap.Parts()) {
-		t.Fatal("re-snapshot of rehydrated graph diverged")
+	orig, loaded := NewLive(snap), NewLive(re)
+	session := []*sqlparse.Query{
+		sqlparse.MustParse("SELECT j.name FROM journal j WHERE j.name = 'TMC'"),
+		sqlparse.MustParse("SELECT p.title FROM journal j, publication p WHERE p.jid = j.jid"),
 	}
-	for _, a := range snap.Interner().Fragments() {
-		for _, b := range snap.Interner().Fragments() {
-			if got, want := re.Dice(a, b), g.Dice(a, b); math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("Dice(%v, %v) = %v, want %v", a, b, got, want)
+	for _, q := range session {
+		if err := q.Resolve(nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 9; i++ {
+		for _, l := range []*Live{orig, loaded} {
+			if err := l.AddSession(session, 1, 0.37); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if !samePartsBits(loaded.CurrentSnapshot().Parts(), orig.CurrentSnapshot().Parts()) {
+		t.Fatal("a live log over reassembled parts diverged from the original after session appends")
+	}
+
+	legacy := copyParts(snap.Parts())
+	legacy.Sess = nil
+	old, err := NewSnapshotFromParts(snap.Interner(), legacy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameBits(old.Parts().Co, snap.Parts().Co) {
+		t.Fatal("derived-session snapshot changed the blended weights")
+	}
+	n := uint32(snap.Vertices())
+	for a := uint32(0); a < n; a++ {
+		for b := a; b < n; b++ {
+			if got, want := old.DiceID(a, b), snap.DiceID(a, b); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("DiceID(%d, %d) = %v, want %v", a, b, got, want)
 			}
 		}
 	}
@@ -149,7 +189,7 @@ func TestRehydrateGraph(t *testing.T) {
 // publication is the loaded snapshot itself, appends keep working, and
 // fragment IDs stay stable across the republish.
 func TestNewLiveFromSnapshot(t *testing.T) {
-	snap := partsGraph(t).Snapshot(nil)
+	snap := partsSnapshot(t)
 	live := NewLiveFromSnapshot(snap)
 	if live.CurrentSnapshot() != snap {
 		t.Fatal("first publication is not the loaded snapshot")
@@ -179,5 +219,48 @@ func TestNewLiveFromSnapshot(t *testing.T) {
 	}
 	if got, want := after.OccurrencesID(id), snap.OccurrencesID(id)+2; got != want {
 		t.Fatalf("nv(journal) = %d after append, want %d", got, want)
+	}
+}
+
+// TestSpliceToleratesAsymmetricParts backs the unchecked mirror invariant:
+// a snapshot whose half-edges do not mirror each other (a corrupt archive)
+// still loads, and appends over its fragments stay in bounds.
+func TestSpliceToleratesAsymmetricParts(t *testing.T) {
+	snap := partsSnapshot(t)
+	p := copyParts(snap.Parts())
+	// Move one of journal's neighbors one ID up where the row stays sorted:
+	// neither half-edge of that edge has its mirror any more, and the
+	// appends below rewrite journal's row.
+	a := snap.Lookup(fragment.Relation("journal"))
+	moved := false
+	for k := p.RowStart[a+1]; k > p.RowStart[a] && !moved; k-- {
+		next := uint32(len(p.NV))
+		if k < p.RowStart[a+1] {
+			next = p.ColID[k]
+		}
+		if c := p.ColID[k-1] + 1; c < next && c != a {
+			p.ColID[k-1], moved = c, true
+		}
+	}
+	if !moved {
+		t.Fatal("no neighbor of journal to move")
+	}
+	broken, err := NewSnapshotFromParts(snap.Interner(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := NewLive(broken)
+	var qs []*sqlparse.Query
+	for _, f := range snap.Interner().Fragments() {
+		if f.Context == fragment.From {
+			qs = append(qs, sqlparse.MustParse("SELECT * FROM "+f.Expr))
+		}
+	}
+	if err := live.AddSession(qs, 2, 0.37); err != nil {
+		t.Fatal(err)
+	}
+	live.AddQueries(qs, nil)
+	if got := live.CurrentSnapshot().Queries(); got != snap.Queries()+3*len(qs) {
+		t.Fatalf("queries = %d, want %d", got, snap.Queries()+3*len(qs))
 	}
 }

@@ -2,6 +2,7 @@ package qfg
 
 import (
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -17,13 +18,27 @@ const figure3Log = `
 3x: SELECT p.title FROM journal j, publication p WHERE j.name = 'TMC' AND p.pid = j.pid
 `
 
-func buildFigure3(t *testing.T, ob fragment.Obscurity) *Graph {
+func buildFigure3(t testing.TB, ob fragment.Obscurity) *Snapshot {
 	t.Helper()
 	entries, err := sqlparse.ParseLog(figure3Log)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := Build(entries, ob)
+	s, err := Build(entries, ob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// figure3Oracle folds the Figure 3a log into the map-backed reference.
+func figure3Oracle(t testing.TB, ob fragment.Obscurity) *MapGraph {
+	t.Helper()
+	entries, err := sqlparse.ParseLog(figure3Log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := BuildMapGraph(entries, ob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,13 +189,23 @@ func TestVerticesEdgesCounts(t *testing.T) {
 	}
 }
 
+// emptyLive returns a Live over an empty log.
+func emptyLive(t testing.TB, ob fragment.Obscurity) *Live {
+	t.Helper()
+	s, err := Build(nil, ob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return NewLive(s)
+}
+
 func TestAddQueryZeroCountIgnored(t *testing.T) {
-	g := New(fragment.Full)
+	l := emptyLive(t, fragment.Full)
 	q := sqlparse.MustParse("SELECT j.name FROM journal j")
 	_ = q.Resolve(nil)
-	g.AddQuery(q, 0)
-	g.AddQuery(q, -5)
-	if g.Queries() != 0 || g.Vertices() != 0 {
+	l.AddQuery(q, 0)
+	l.AddQuery(q, -5)
+	if s := l.CurrentSnapshot(); s.Queries() != 0 || s.Vertices() != 0 {
 		t.Fatal("zero/negative counts must be ignored")
 	}
 }
@@ -201,6 +226,9 @@ func TestTopOrdering(t *testing.T) {
 	if len(all) != g.Vertices() {
 		t.Errorf("Top(1000) = %d, want %d", len(all), g.Vertices())
 	}
+	if want := figure3Oracle(t, fragment.NoConstOp).Top(1000); !reflect.DeepEqual(all, want) {
+		t.Errorf("Top = %v, reference %v", all, want)
+	}
 }
 
 func TestNeighborsSortedByDice(t *testing.T) {
@@ -217,6 +245,9 @@ func TestNeighborsSortedByDice(t *testing.T) {
 	}
 	if nb[0].Fragment != fragment.Relation("publication") {
 		t.Errorf("strongest neighbor = %v, want publication", nb[0].Fragment)
+	}
+	if want := figure3Oracle(t, fragment.NoConstOp).Neighbors(title); !reflect.DeepEqual(nb, want) {
+		t.Errorf("Neighbors = %v, reference %v", nb, want)
 	}
 }
 
@@ -261,15 +292,3 @@ func TestBuildResolveError(t *testing.T) {
 		t.Fatal("expected resolve error")
 	}
 }
-
-func BenchmarkAddQuery(b *testing.B) {
-	q := sqlparse.MustParse("SELECT p.title FROM journal j, publication p WHERE j.name = 'TMC' AND p.year > 2000 AND p.pid = j.pid")
-	_ = q.Resolve(nil)
-	g := New(fragment.NoConstOp)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		g.AddQuery(q, 1)
-	}
-}
-
-// Dice benchmarks (map-backed vs compiled snapshot) live in snapshot_test.go.

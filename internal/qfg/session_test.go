@@ -26,11 +26,23 @@ func sessionQueries(t *testing.T) []*sqlparse.Query {
 	return out
 }
 
+// sessionEdges counts the pairs carrying session weight.
+func sessionEdges(s *Snapshot) int {
+	n := 0
+	for _, w := range s.Parts().Sess {
+		if w != 0 {
+			n++
+		}
+	}
+	return n / 2
+}
+
 func TestAddSessionCrossQueryEvidence(t *testing.T) {
-	g := New(fragment.NoConstOp)
-	if err := g.AddSession(sessionQueries(t), 1, 0.5); err != nil {
+	l := emptyLive(t, fragment.NoConstOp)
+	if err := l.AddSession(sessionQueries(t), 1, 0.5); err != nil {
 		t.Fatal(err)
 	}
+	g := l.CurrentSnapshot()
 	jname := fragment.Attr("journal.name", "")
 	title := fragment.Attr("publication.title", "")
 	// j.name (query 0) and p.title (queries 1 and 2): decay^1 + decay^2.
@@ -52,7 +64,7 @@ func TestAddSessionCrossQueryEvidence(t *testing.T) {
 func TestAddSessionNoEffectWithoutSessions(t *testing.T) {
 	// Graphs built purely with AddQuery behave exactly as Definition 6.
 	g := buildFigure3(t, fragment.NoConstOp)
-	if g.SessionEdges() != 0 {
+	if sessionEdges(g) != 0 {
 		t.Fatal("no session edges expected")
 	}
 	title := fragment.Attr("publication.title", "")
@@ -63,31 +75,36 @@ func TestAddSessionNoEffectWithoutSessions(t *testing.T) {
 }
 
 func TestAddSessionValidation(t *testing.T) {
-	g := New(fragment.NoConstOp)
+	l := emptyLive(t, fragment.NoConstOp)
 	qs := sessionQueries(t)
-	if err := g.AddSession(qs, 1, 0); err == nil {
+	before := l.CurrentSnapshot()
+	if err := l.AddSession(qs, 1, 0); err == nil {
 		t.Fatal("decay 0 must be rejected")
 	}
-	if err := g.AddSession(qs, 1, 1.5); err == nil {
+	if err := l.AddSession(qs, 1, 1.5); err == nil {
 		t.Fatal("decay > 1 must be rejected")
 	}
-	if err := g.AddSession(qs, 0, 0.5); err != nil {
+	if l.CurrentSnapshot() != before {
+		t.Fatal("a rejected session must publish nothing")
+	}
+	if err := l.AddSession(qs, 0, 0.5); err != nil {
 		t.Fatal("zero count must be a no-op, not an error")
 	}
-	if g.Queries() != 0 {
+	if l.CurrentSnapshot().Queries() != 0 {
 		t.Fatal("zero-count session must not add queries")
 	}
 }
 
 func TestSessionDiceClamped(t *testing.T) {
 	// Heavy session evidence cannot push Dice past 1.
-	g := New(fragment.NoConstOp)
+	l := emptyLive(t, fragment.NoConstOp)
 	qs := sessionQueries(t)[:2]
 	for i := 0; i < 10; i++ {
-		if err := g.AddSession(qs, 1, 1.0); err != nil {
+		if err := l.AddSession(qs, 1, 1.0); err != nil {
 			t.Fatal(err)
 		}
 	}
+	g := l.CurrentSnapshot()
 	jname := fragment.Attr("journal.name", "")
 	title := fragment.Attr("publication.title", "")
 	if d := g.Dice(jname, title); d > 1 {
@@ -98,11 +115,12 @@ func TestSessionDiceClamped(t *testing.T) {
 func TestSessionIdenticalFragmentsSkipped(t *testing.T) {
 	// The same fragment appearing in two session queries must not gain
 	// self co-occurrence.
-	g := New(fragment.NoConstOp)
+	l := emptyLive(t, fragment.NoConstOp)
 	qs := sessionQueries(t)[1:] // two p.title queries
-	if err := g.AddSession(qs, 1, 0.5); err != nil {
+	if err := l.AddSession(qs, 1, 0.5); err != nil {
 		t.Fatal(err)
 	}
+	g := l.CurrentSnapshot()
 	title := fragment.Attr("publication.title", "")
 	if got := g.SessionCoOccurrence(title, title); got != 0 {
 		t.Fatalf("self session co-occurrence = %v", got)

@@ -11,12 +11,8 @@ import (
 
 // allFragments lists every fragment of the graph plus some absent ones, so
 // parity sweeps cover the miss paths too.
-func allFragments(g *Graph) []fragment.Fragment {
-	entries := g.Top(1 << 30)
-	out := make([]fragment.Fragment, 0, len(entries)+2)
-	for _, e := range entries {
-		out = append(out, e.Fragment)
-	}
+func allFragments(g *MapGraph) []fragment.Fragment {
+	out := g.Fragments()
 	out = append(out,
 		fragment.Relation("never_logged_relation"),
 		fragment.Attr("never.logged", "COUNT"),
@@ -25,8 +21,8 @@ func allFragments(g *Graph) []fragment.Fragment {
 }
 
 // assertParity checks the snapshot agrees bit-for-bit with the map-backed
-// graph on every pair of the given fragments.
-func assertParity(t *testing.T, g *Graph, s *Snapshot, frags []fragment.Fragment) {
+// reference on every pair of the given fragments.
+func assertParity(t *testing.T, g *MapGraph, s *Snapshot, frags []fragment.Fragment) {
 	t.Helper()
 	for _, f := range frags {
 		if got, want := s.Occurrences(f), g.Occurrences(f); got != want {
@@ -43,14 +39,18 @@ func assertParity(t *testing.T, g *Graph, s *Snapshot, frags []fragment.Fragment
 			if gotNe, wantNe := s.CoOccurrences(a, b), g.CoOccurrences(a, b); gotNe != wantNe {
 				t.Fatalf("CoOccurrences(%v, %v) = %d, want %d", a, b, gotNe, wantNe)
 			}
+			got, want = s.SessionCoOccurrence(a, b), g.SessionCoOccurrence(a, b)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("SessionCoOccurrence(%v, %v) = %v, want %v", a, b, got, want)
+			}
 		}
 	}
 }
 
 func TestSnapshotParityFigure3(t *testing.T) {
 	for _, ob := range fragment.Levels() {
-		g := buildFigure3(t, ob)
-		s := g.Snapshot(nil)
+		g := figure3Oracle(t, ob)
+		s := buildFigure3(t, ob)
 		if s.Obscurity() != ob {
 			t.Fatalf("Obscurity = %v, want %v", s.Obscurity(), ob)
 		}
@@ -68,7 +68,8 @@ func TestSnapshotParityFigure3(t *testing.T) {
 }
 
 func TestSnapshotParityWithSessions(t *testing.T) {
-	g := buildFigure3(t, fragment.NoConstOp)
+	g := figure3Oracle(t, fragment.NoConstOp)
+	live := NewLive(buildFigure3(t, fragment.NoConstOp))
 	session := []*sqlparse.Query{
 		sqlparse.MustParse("SELECT j.name FROM journal j"),
 		sqlparse.MustParse("SELECT p.title FROM publication p WHERE p.year > 2003"),
@@ -79,10 +80,11 @@ func TestSnapshotParityWithSessions(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := g.AddSession(session, 2, 0.5); err != nil {
+	g.AddSession(session, 2, 0.5)
+	if err := live.AddSession(session, 2, 0.5); err != nil {
 		t.Fatal(err)
 	}
-	s := g.Snapshot(nil)
+	s := live.CurrentSnapshot()
 	// Session-only pairs (cross-query, never within one query) must appear
 	// in the snapshot with their fractional evidence blended into Dice.
 	jname := fragment.Attr("journal.name", "")
@@ -97,8 +99,8 @@ func TestSnapshotParityWithSessions(t *testing.T) {
 }
 
 func TestSnapshotDiceRelations(t *testing.T) {
-	g := buildFigure3(t, fragment.NoConstOp)
-	s := g.Snapshot(nil)
+	g := figure3Oracle(t, fragment.NoConstOp)
+	s := buildFigure3(t, fragment.NoConstOp)
 	for _, pair := range [][2]string{
 		{"journal", "publication"},
 		{"journal", "journal"},
@@ -116,9 +118,8 @@ func TestSnapshotDiceRelations(t *testing.T) {
 }
 
 func TestSnapshotLookup(t *testing.T) {
-	g := buildFigure3(t, fragment.NoConstOp)
-	in := fragment.NewInterner()
-	s := g.Snapshot(in)
+	s := buildFigure3(t, fragment.NoConstOp)
+	in := s.Interner()
 	jour := fragment.Relation("journal")
 	id := s.Lookup(jour)
 	if id == fragment.NoID {
@@ -127,7 +128,7 @@ func TestSnapshotLookup(t *testing.T) {
 	if in.Fragment(id) != jour {
 		t.Fatalf("interner round-trip: %v", in.Fragment(id))
 	}
-	if s.OccurrencesID(id) != g.Occurrences(jour) {
+	if s.OccurrencesID(id) != 28 {
 		t.Fatal("OccurrencesID mismatch")
 	}
 	if got := s.Lookup(fragment.Relation("nonesuch")); got != fragment.NoID {
@@ -140,7 +141,7 @@ func TestSnapshotLookup(t *testing.T) {
 		t.Fatalf("DiceID(NoID, NoID) = %v, want 0", d)
 	}
 
-	// A fragment interned after compile is absent from this snapshot.
+	// A fragment interned after the snapshot is absent from this snapshot.
 	lateID := in.Intern(fragment.Relation("late_arrival"))
 	if s.OccurrencesID(lateID) != 0 {
 		t.Fatal("late-interned fragment must read as absent")
@@ -156,9 +157,9 @@ func TestSnapshotLookup(t *testing.T) {
 // TestSharedInternerStableIDs republishes through a shared interner and
 // checks old IDs keep resolving to the same fragments and counts.
 func TestSharedInternerStableIDs(t *testing.T) {
-	g := buildFigure3(t, fragment.NoConstOp)
-	in := fragment.NewInterner()
-	s1 := g.Snapshot(in)
+	g := figure3Oracle(t, fragment.NoConstOp)
+	live := NewLive(buildFigure3(t, fragment.NoConstOp))
+	s1 := live.CurrentSnapshot()
 	jour := fragment.Relation("journal")
 	id1 := s1.Lookup(jour)
 
@@ -167,7 +168,8 @@ func TestSharedInternerStableIDs(t *testing.T) {
 		t.Fatal(err)
 	}
 	g.AddQuery(q, 4)
-	s2 := g.Snapshot(in)
+	live.AddQuery(q, 4)
+	s2 := live.CurrentSnapshot()
 	if id2 := s2.Lookup(jour); id2 != id1 {
 		t.Fatalf("journal ID changed across republish: %d -> %d", id1, id2)
 	}
@@ -192,11 +194,11 @@ func TestLiveConcurrentReadersAndAppends(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := Build(entries, fragment.NoConstOp)
+	base, err := Build(entries, fragment.NoConstOp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	live := NewLive(g)
+	live := NewLive(base)
 
 	newQ := func(src string) *sqlparse.Query {
 		q := sqlparse.MustParse(src)
@@ -257,21 +259,8 @@ func TestLiveConcurrentReadersAndAppends(t *testing.T) {
 // parallel. Run with -race to demonstrate concurrent-reader scaling with no
 // synchronization on the hot path.
 
-func benchGraph(b *testing.B) *Graph {
-	b.Helper()
-	entries, err := sqlparse.ParseLog(figure3Log)
-	if err != nil {
-		b.Fatal(err)
-	}
-	g, err := Build(entries, fragment.NoConstOp)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return g
-}
-
 func BenchmarkDiceMap(b *testing.B) {
-	g := benchGraph(b)
+	g := figure3Oracle(b, fragment.NoConstOp)
 	x := fragment.Relation("journal")
 	y := fragment.Relation("publication")
 	b.ReportAllocs()
@@ -282,7 +271,7 @@ func BenchmarkDiceMap(b *testing.B) {
 }
 
 func BenchmarkDiceSnapshotID(b *testing.B) {
-	s := benchGraph(b).Snapshot(nil)
+	s := buildFigure3(b, fragment.NoConstOp)
 	x := s.Lookup(fragment.Relation("journal"))
 	y := s.Lookup(fragment.Relation("publication"))
 	b.ReportAllocs()
@@ -292,8 +281,10 @@ func BenchmarkDiceSnapshotID(b *testing.B) {
 	}
 }
 
+// BenchmarkDiceMapParallel reads the reference map concurrently; it has no
+// writers, so no lock is needed.
 func BenchmarkDiceMapParallel(b *testing.B) {
-	g := benchGraph(b)
+	g := figure3Oracle(b, fragment.NoConstOp)
 	x := fragment.Relation("journal")
 	y := fragment.Relation("publication")
 	b.ReportAllocs()
@@ -305,7 +296,7 @@ func BenchmarkDiceMapParallel(b *testing.B) {
 }
 
 func BenchmarkDiceSnapshotIDParallel(b *testing.B) {
-	s := benchGraph(b).Snapshot(nil)
+	s := buildFigure3(b, fragment.NoConstOp)
 	x := s.Lookup(fragment.Relation("journal"))
 	y := s.Lookup(fragment.Relation("publication"))
 	b.ReportAllocs()
@@ -314,13 +305,4 @@ func BenchmarkDiceSnapshotIDParallel(b *testing.B) {
 			s.DiceID(x, y)
 		}
 	})
-}
-
-func BenchmarkSnapshotCompile(b *testing.B) {
-	g := benchGraph(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.Snapshot(nil)
-	}
 }

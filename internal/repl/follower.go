@@ -74,7 +74,7 @@ func Bootstrap(ctx context.Context, c *Client, dataset string) (*qfg.Live, uint6
 	if err != nil {
 		return nil, 0, err
 	}
-	return qfg.NewLiveFromSnapshot(ar.Snapshot), ar.WalSeq, nil
+	return qfg.NewLive(ar.Snapshot), ar.WalSeq, nil
 }
 
 // Follower tails one dataset's replication stream and folds validated

@@ -39,7 +39,7 @@ import (
 	"templar/pkg/client"
 )
 
-func buildGraph(t testing.TB, ds *datasets.Dataset) *qfg.Graph {
+func buildGraph(t testing.TB, ds *datasets.Dataset) *qfg.Snapshot {
 	t.Helper()
 	entries := make([]sqlparse.LogEntry, 0, len(ds.Tasks))
 	for _, task := range ds.Tasks {
@@ -61,7 +61,7 @@ func primaryTenant(t testing.TB, ds *datasets.Dataset, storeDir, walDir string) 
 	t.Helper()
 	path := filepath.Join(storeDir, store.Filename(ds.Name))
 	if _, err := os.Stat(path); err != nil {
-		if err := store.WriteFile(path, ds.Name, buildGraph(t, ds).Snapshot(nil)); err != nil {
+		if err := store.WriteFile(path, ds.Name, buildGraph(t, ds)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -69,7 +69,7 @@ func primaryTenant(t testing.TB, ds *datasets.Dataset, storeDir, walDir string) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	live := qfg.NewLiveFromSnapshot(ar.Snapshot)
+	live := qfg.NewLive(ar.Snapshot)
 	sys := templar.NewLive(ds.DB, embedding.New(), live, templar.Options{LogJoin: true})
 	tn := &serve.Tenant{Name: ds.Name, Sys: sys, Source: "store", StorePath: path, SnapshotSeq: ar.WalSeq}
 	if _, err := serve.AttachWAL(tn, walDir, wal.Options{}); err != nil {

@@ -33,7 +33,7 @@ func durableTenant(t testing.TB, ds *datasets.Dataset, storeDir, walDir string) 
 	t.Helper()
 	path := filepath.Join(storeDir, store.Filename(ds.Name))
 	if _, err := os.Stat(path); err != nil {
-		if err := store.WriteFile(path, ds.Name, buildGraph(t, ds).Snapshot(nil)); err != nil {
+		if err := store.WriteFile(path, ds.Name, buildGraph(t, ds)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -41,7 +41,7 @@ func durableTenant(t testing.TB, ds *datasets.Dataset, storeDir, walDir string) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	live := qfg.NewLiveFromSnapshot(ar.Snapshot)
+	live := qfg.NewLive(ar.Snapshot)
 	sys := templar.NewLive(ds.DB, embedding.New(), live, templar.Options{LogJoin: true})
 	tn := &Tenant{Name: ds.Name, Sys: sys, Source: "store", StorePath: path, SnapshotSeq: ar.WalSeq}
 	rec, err := AttachWAL(tn, walDir, wal.Options{})

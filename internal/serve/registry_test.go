@@ -113,12 +113,12 @@ func multiTenantServer(t testing.TB, loader Loader) *httptest.Server {
 		t.Fatal(err)
 	}
 	yelp := datasets.Yelp()
-	packed := store.Encode(yelp.Name, buildGraph(t, yelp).Snapshot(nil))
+	packed := store.Encode(yelp.Name, buildGraph(t, yelp))
 	ar, err := store.Decode(packed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	live := qfg.NewLiveFromSnapshot(ar.Snapshot)
+	live := qfg.NewLive(ar.Snapshot)
 	sys := templar.NewLive(yelp.DB, embedding.New(), live, templar.Options{LogJoin: true})
 	if err := reg.Add(&Tenant{Name: ar.Dataset, Sys: sys, Source: "store"}); err != nil {
 		t.Fatal(err)
@@ -203,7 +203,7 @@ func TestDatasetScopedRoutes(t *testing.T) {
 func TestStoreLoadedEngineParity(t *testing.T) {
 	ds := datasets.IMDB()
 	builtSys := buildSystem(t, ds, keyword.Options{})
-	ar, err := store.Decode(store.Encode(ds.Name, buildGraph(t, ds).Snapshot(nil)))
+	ar, err := store.Decode(store.Encode(ds.Name, buildGraph(t, ds)))
 	if err != nil {
 		t.Fatal(err)
 	}

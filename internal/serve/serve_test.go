@@ -22,7 +22,7 @@ import (
 )
 
 // buildGraph trains a QFG from a dataset's full gold-SQL log.
-func buildGraph(t testing.TB, ds *datasets.Dataset) *qfg.Graph {
+func buildGraph(t testing.TB, ds *datasets.Dataset) *qfg.Snapshot {
 	t.Helper()
 	entries := make([]sqlparse.LogEntry, 0, len(ds.Tasks))
 	for _, task := range ds.Tasks {
@@ -43,7 +43,7 @@ func buildGraph(t testing.TB, ds *datasets.Dataset) *qfg.Graph {
 // the QFG trained from the full gold-SQL log.
 func buildSystem(t testing.TB, ds *datasets.Dataset, opts keyword.Options) *templar.System {
 	t.Helper()
-	return templar.NewLive(ds.DB, embedding.New(), buildGraph(t, ds).Snapshot(nil), templar.Options{Keyword: opts, LogJoin: true})
+	return templar.NewLive(ds.DB, embedding.New(), buildGraph(t, ds), templar.Options{Keyword: opts, LogJoin: true})
 }
 
 // buildLiveSystem is buildSystem over a live (appendable) log.

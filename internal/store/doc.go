@@ -2,7 +2,7 @@
 // compact versioned binary archives, making the mined QFG a durable,
 // shareable artifact of the SQL log: a serving process cold-starts from
 // one file read instead of re-mining the log (parse every query, fold the
-// graph, compile the snapshot) — 100×+ faster on the bundled benchmarks
+// graph) — 100×+ faster on the bundled benchmarks
 // (BenchmarkColdStart).
 //
 // An archive carries everything a serving engine needs: the dataset name,
@@ -10,8 +10,9 @@
 // round trip) and the snapshot's CSR arrays with co-occurrence weights as
 // raw IEEE-754 bits. A loaded snapshot therefore scores bit-identically
 // to the one that was packed — DiceID parity is tested on every bundled
-// dataset — and can keep accepting live log appends after
-// qfg.NewLiveFromSnapshot rehydrates its builder graph.
+// dataset — and qfg.NewLive can publish it as a growing log as is: the
+// session-weight section (v4) makes later appends fold exactly as they
+// would have in the process that packed it.
 //
 // Use Encode/Decode for in-memory round trips, Write/Read for streams,
 // and WriteFile/ReadFile for the conventional on-disk store (WriteFile is

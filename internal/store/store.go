@@ -44,9 +44,9 @@ import (
 //	                 (float64 bits, preserved exactly)
 //	  H × uv         raw integer co-occurrence counts
 //
-// The v3 payload is a fixed 8-byte-aligned section layout designed for
-// zero-copy use straight out of an mmap'd file — see v3.go for the exact
-// table. Decode reads every version; Encode writes v3.
+// The v3 and v4 payloads are a fixed 8-byte-aligned section layout designed
+// for zero-copy use straight out of an mmap'd file — see v3.go for the
+// exact table. Decode reads every version; Encode writes v4.
 //
 // The declared-size field makes truncation detectable as such (ErrTruncated)
 // instead of surfacing as a checksum mismatch; co-occurrence weights travel
@@ -57,11 +57,14 @@ import (
 // a filter (apply records with seq > WalSeq); v3 (current) switches the
 // payload from varint packing to fixed-width aligned sections so the CSR
 // arrays and interned strings can be used in place, without per-array
-// allocation and copying (see Open). v1 files carry WalSeq 0.
+// allocation and copying (see Open); v4 (current) adds the per-half-edge
+// session weights as their own section, so a loaded snapshot keeps folding
+// session appends bit for bit (v1–v3 snapshots derive them as co − ne,
+// exact up to the last bit). v1 files carry WalSeq 0.
 const (
 	magic = "TQFGSNAP"
 	// Version is the current format version written by Encode.
-	Version = 3
+	Version = 4
 	// minVersion is the oldest format version Decode still reads.
 	minVersion = 1
 
@@ -119,7 +122,7 @@ func Encode(dataset string, snap *qfg.Snapshot) []byte {
 // EncodeAt packs a snapshot that covers the write-ahead log up to and
 // including sequence walSeq.
 func EncodeAt(dataset string, snap *qfg.Snapshot, walSeq uint64) []byte {
-	return encodeV3At(dataset, snap, walSeq)
+	return encodeFixedAt(dataset, snap, walSeq, Version)
 }
 
 // encodeLegacyAt writes the varint-packed v1/v2 payload. Encode no longer
@@ -169,11 +172,11 @@ func encodeLegacyAt(dataset string, snap *qfg.Snapshot, walSeq uint64, version u
 	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
 }
 
-// Decode unpacks a snapshot file of any supported version (v1–v3). Corrupt
+// Decode unpacks a snapshot file of any supported version (v1–v4). Corrupt
 // input of every kind returns a typed error (see ErrBadMagic and friends) —
 // never a panic — so a serving layer can fall back to re-mining the log.
 //
-// For v3 input the returned archive's arrays and interned strings may alias
+// For v3+ input the returned archive's arrays and interned strings may alias
 // data (zero copy); the caller must not mutate or recycle the buffer while
 // the archive is in use. v1/v2 input always decodes into fresh memory.
 func Decode(data []byte) (*Archive, error) {
@@ -209,7 +212,7 @@ func decodeAny(data []byte) (a *Archive, aliased bool, err error) {
 		return nil, false, ErrChecksum
 	}
 	if version >= 3 {
-		return decodeV3(body)
+		return decodeV3(body, version)
 	}
 	a, err = decodeLegacy(body, version)
 	return a, false, err

@@ -31,19 +31,20 @@ func buildSnapshot(tb testing.TB, ds *datasets.Dataset) *qfg.Snapshot {
 		}
 		entries = append(entries, sqlparse.LogEntry{Query: q, Count: 1})
 	}
-	g, err := qfg.Build(entries, fragment.NoConstOp)
+	base, err := qfg.Build(entries, fragment.NoConstOp)
 	if err != nil {
 		tb.Fatal(err)
 	}
+	live := qfg.NewLive(base)
 	session := []*sqlparse.Query{entries[0].Query, entries[1].Query, entries[2].Query}
-	if err := g.AddSession(session, 1, 0.5); err != nil {
+	if err := live.AddSession(session, 1, 0.5); err != nil {
 		tb.Fatal(err)
 	}
-	return g.Snapshot(nil)
+	return live.CurrentSnapshot()
 }
 
-// partsEqual compares two snapshots' compiled arrays bit for bit (float64
-// weights by their IEEE-754 bits, not tolerance).
+// partsEqual compares two snapshots' arrays bit for bit (float64 weights,
+// session weights included, by their IEEE-754 bits, not tolerance).
 func partsEqual(a, b qfg.SnapshotParts) bool {
 	if a.Obscurity != b.Obscurity || a.Queries != b.Queries {
 		return false
@@ -52,11 +53,15 @@ func partsEqual(a, b qfg.SnapshotParts) bool {
 		!reflect.DeepEqual(a.ColID, b.ColID) || !reflect.DeepEqual(a.NECount, b.NECount) {
 		return false
 	}
-	if len(a.Co) != len(b.Co) {
+	return sameBits(a.Co, b.Co) && sameBits(a.Sess, b.Sess)
+}
+
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
 		return false
 	}
-	for i := range a.Co {
-		if math.Float64bits(a.Co[i]) != math.Float64bits(b.Co[i]) {
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
 			return false
 		}
 	}
@@ -116,11 +121,11 @@ SELECT p.title FROM journal j, publication p WHERE j.name = 'TMC' AND p.jid = j.
 	if err != nil {
 		tb.Fatal(err)
 	}
-	g, err := qfg.Build(entries, fragment.NoConstOp)
+	s, err := qfg.Build(entries, fragment.NoConstOp)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return g.Snapshot(nil)
+	return s
 }
 
 // rechecksum fixes the CRC trailer after a deliberate header/payload edit,
@@ -177,7 +182,7 @@ func TestWalSeqRoundTrip(t *testing.T) {
 
 // TestDecodeV2Compat proves the current decoder still reads the varint v2
 // format earlier builds wrote: a legacy-encoded archive must decode to the
-// same snapshot, bit for bit, as the v3 encoding of the same state.
+// same snapshot, bit for bit, as the current encoding of the same state.
 func TestDecodeV2Compat(t *testing.T) {
 	snap := smallSnapshot(t)
 	v2 := encodeLegacyAt("tiny", snap, 42, 2)
@@ -371,11 +376,11 @@ func BenchmarkColdStart(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				g, err := qfg.Build(entries, fragment.NoConstOp)
+				s, err := qfg.Build(entries, fragment.NoConstOp)
 				if err != nil {
 					b.Fatal(err)
 				}
-				if g.Snapshot(nil).Vertices() == 0 {
+				if s.Vertices() == 0 {
 					b.Fatal("empty snapshot")
 				}
 			}

@@ -12,9 +12,10 @@ import (
 	"templar/internal/qfg"
 )
 
-// v3 payload layout. After the generic 20-byte header come 4 zero bytes of
-// padding (so everything below sits at 8-byte file offsets), then a fixed
-// header of 16 little-endian uint64 fields, then the data sections:
+// v3/v4 payload layout. After the generic 20-byte header come 4 zero bytes
+// of padding (so everything below sits at 8-byte file offsets), then a
+// fixed header of little-endian uint64 fields (16 in v3, 17 in v4), then
+// the data sections:
 //
 //	offset  field
 //	20      4 bytes padding (zero)
@@ -38,6 +39,8 @@ import (
 //	          [14] section offset: blended co-occurrence weights,
 //	                 H × float64 bits (preserved exactly)
 //	          [15] section offset: raw co-occurrence counts, H × int64
+//	          [16] v4 only: section offset: session weights,
+//	                 H × float64 bits (preserved exactly)
 //
 // Section offsets are absolute file offsets, every one a multiple of 8, with
 // zero padding between sections; fixed-width little-endian elements mean the
@@ -47,12 +50,25 @@ import (
 // Open takes over an mmap'd archive. Hosts where aliasing is unsound
 // (32-bit int, big-endian, or a misaligned buffer) fall back to a copying
 // decode of the same sections; both paths produce bit-identical snapshots.
+//
+// v4 adds the session-weight section: the per-half-edge sum that co was
+// rounded from, so appends after a round trip fold session evidence
+// exactly as the process that packed the archive would have. A v3 archive
+// has no such section; its snapshot derives the weights as co − ne, which
+// can be off in the last bit (see qfg.SnapshotParts).
 const (
-	v3HeaderOff  = headerSize + 4 // generic header + padding, 8-aligned
-	v3NumFields  = 16
-	v3HeaderSize = v3NumFields * 8
-	v3FragRec    = 16 // bytes per fragment record
+	v3HeaderOff = headerSize + 4 // generic header + padding, 8-aligned
+	v4NumFields = 17
+	v3FragRec   = 16 // bytes per fragment record
 )
+
+// fixedFields is the number of fixed-header fields of a v3+ archive.
+func fixedFields(version uint32) int {
+	if version >= 4 {
+		return v4NumFields
+	}
+	return v4NumFields - 1
+}
 
 // Field indexes of the v3 fixed header.
 const (
@@ -72,6 +88,7 @@ const (
 	v3FieldSecColID
 	v3FieldSecCo
 	v3FieldSecNECount
+	v4FieldSecSess
 )
 
 // hostLittle reports whether this machine stores integers little-endian —
@@ -92,8 +109,9 @@ func canAlias(data []byte) bool {
 
 func align8(n int) int { return (n + 7) &^ 7 }
 
-// encodeV3At lays out the fixed-section format described above.
-func encodeV3At(dataset string, snap *qfg.Snapshot, walSeq uint64) []byte {
+// encodeFixedAt lays out the fixed-section format described above, as v4
+// (the current Version) or, for the compat tests, v3.
+func encodeFixedAt(dataset string, snap *qfg.Snapshot, walSeq uint64, version uint32) []byte {
 	parts := snap.Parts()
 	frags := snap.Interner().Fragments()
 	nVerts := len(parts.NV)
@@ -103,7 +121,7 @@ func encodeV3At(dataset string, snap *qfg.Snapshot, walSeq uint64) []byte {
 		blobLen += len(f.Expr)
 	}
 
-	secDataset := v3HeaderOff + v3HeaderSize
+	secDataset := v3HeaderOff + fixedFields(version)*8
 	secFragTab := align8(secDataset + len(dataset))
 	secBlob := secFragTab + len(frags)*v3FragRec
 	secNV := align8(secBlob + blobLen)
@@ -112,11 +130,15 @@ func encodeV3At(dataset string, snap *qfg.Snapshot, walSeq uint64) []byte {
 	secCo := align8(secColID + nHalf*4)
 	secNECount := secCo + nHalf*8
 	end := secNECount + nHalf*8
+	secSess := end
+	if version >= 4 {
+		end += nHalf * 8
+	}
 	total := end + trailerSize
 
 	buf := make([]byte, end, total)
 	copy(buf, magic)
-	binary.LittleEndian.PutUint32(buf[len(magic):], Version)
+	binary.LittleEndian.PutUint32(buf[len(magic):], version)
 	binary.LittleEndian.PutUint64(buf[len(magic)+4:], uint64(total))
 
 	hdr := buf[v3HeaderOff:]
@@ -137,6 +159,9 @@ func encodeV3At(dataset string, snap *qfg.Snapshot, walSeq uint64) []byte {
 	put(v3FieldSecColID, uint64(secColID))
 	put(v3FieldSecCo, uint64(secCo))
 	put(v3FieldSecNECount, uint64(secNECount))
+	if version >= 4 {
+		put(v4FieldSecSess, uint64(secSess))
+	}
 
 	copy(buf[secDataset:], dataset)
 	exprOff := 0
@@ -163,12 +188,18 @@ func encodeV3At(dataset string, snap *qfg.Snapshot, walSeq uint64) []byte {
 	for i, ne := range parts.NECount {
 		binary.LittleEndian.PutUint64(buf[secNECount+i*8:], uint64(ne))
 	}
+	if version >= 4 {
+		for i, w := range parts.Sess {
+			binary.LittleEndian.PutUint64(buf[secSess+i*8:], math.Float64bits(w))
+		}
+	}
 	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
 }
 
-// v3Header is the parsed and bounds-checked fixed header.
+// v3Header is the parsed and bounds-checked fixed header; a v3 archive
+// leaves the v4-only fields zero.
 type v3Header struct {
-	fields [v3NumFields]uint64
+	fields [v4NumFields]uint64
 }
 
 // parseV3Header validates the fixed header against the body length: every
@@ -176,12 +207,14 @@ type v3Header struct {
 // fit the address space — so the view constructors below can slice without
 // further checks and a corrupt header can never drive a panic or an
 // unbounded allocation.
-func parseV3Header(body []byte) (*v3Header, error) {
-	if len(body) < v3HeaderOff+v3HeaderSize {
-		return nil, fmt.Errorf("%w: body shorter than the v3 fixed header", ErrCorrupt)
+func parseV3Header(body []byte, version uint32) (*v3Header, error) {
+	n := fixedFields(version)
+	headerEnd := v3HeaderOff + n*8
+	if len(body) < headerEnd {
+		return nil, fmt.Errorf("%w: body shorter than the v%d fixed header", ErrCorrupt, version)
 	}
 	h := &v3Header{}
-	for i := range h.fields {
+	for i := 0; i < n; i++ {
 		h.fields[i] = binary.LittleEndian.Uint64(body[v3HeaderOff+i*8:])
 	}
 	section := func(what string, field int, elemSize, n uint64) error {
@@ -192,7 +225,7 @@ func parseV3Header(body []byte) (*v3Header, error) {
 		if n > math.MaxInt64/elemSize {
 			return fmt.Errorf("%w: oversized %s section (%d elements)", ErrCorrupt, what, n)
 		}
-		if end := off + n*elemSize; off < uint64(v3HeaderOff+v3HeaderSize) || end < off || end > uint64(len(body)) {
+		if end := off + n*elemSize; off < uint64(headerEnd) || end < off || end > uint64(len(body)) {
 			return fmt.Errorf("%w: %s section [%d, %d) outside payload", ErrCorrupt, what, off, off+n*elemSize)
 		}
 		return nil
@@ -227,26 +260,44 @@ func parseV3Header(body []byte) (*v3Header, error) {
 	if err := section("counts", v3FieldSecNECount, 8, nHalf); err != nil {
 		return nil, err
 	}
+	if version >= 4 {
+		if err := section("session weights", v4FieldSecSess, 8, nHalf); err != nil {
+			return nil, err
+		}
+	}
 	return h, nil
 }
 
-// aliasSlice reinterprets n elements of T starting at body[off] without
-// copying. parseV3Header proved the range in-bounds and 8-aligned; canAlias
-// proved the base aligned and the element layout byte-identical.
-func aliasSlice[T any](body []byte, off, n uint64) []T {
-	if n == 0 {
-		return make([]T, 0)
+// readSection returns the n elements of T at body[off]. With alias it
+// reinterprets the bytes in place without copying: parseV3Header proved
+// the range in-bounds and 8-aligned, and canAlias proved the base aligned
+// and the element layout byte-identical. Otherwise it decodes each
+// size-byte little-endian element with get into fresh memory.
+func readSection[T any](body []byte, off, n uint64, alias bool, size uint64, get func([]byte) T) []T {
+	if alias {
+		if n == 0 {
+			return make([]T, 0)
+		}
+		return unsafe.Slice((*T)(unsafe.Pointer(&body[off])), int(n))
 	}
-	return unsafe.Slice((*T)(unsafe.Pointer(&body[off])), int(n))
+	out := make([]T, n)
+	for i := range out {
+		out[i] = get(body[off+uint64(i)*size:])
+	}
+	return out
 }
 
-// decodeV3 builds an archive over a verified v3 body. When the host and
+func leInt(b []byte) int { return int(int64(binary.LittleEndian.Uint64(b))) }
+
+func leFloat(b []byte) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(b)) }
+
+// decodeV3 builds an archive over a verified v3 or v4 body. When the host and
 // buffer allow it, the snapshot's arrays and interned strings alias body
 // directly (aliased = true, zero copies); otherwise every section is copied
 // into fresh memory. Either way the structural invariants are enforced by
 // qfg.NewSnapshotFromParts before the snapshot escapes.
-func decodeV3(body []byte) (*Archive, bool, error) {
-	h, err := parseV3Header(body)
+func decodeV3(body []byte, version uint32) (*Archive, bool, error) {
+	h, err := parseV3Header(body, version)
 	if err != nil {
 		return nil, false, err
 	}
@@ -285,35 +336,14 @@ func decodeV3(body []byte) (*Archive, bool, error) {
 		Obscurity: fragment.Obscurity(h.fields[v3FieldObscurity]),
 		Queries:   int(h.fields[v3FieldQueries]),
 	}
-	if alias {
-		parts.NV = aliasSlice[int](body, h.fields[v3FieldSecNV], nVerts)
-		parts.RowStart = aliasSlice[uint32](body, h.fields[v3FieldSecRowStart], nVerts+1)
-		parts.ColID = aliasSlice[uint32](body, h.fields[v3FieldSecColID], nHalf)
-		parts.Co = aliasSlice[float64](body, h.fields[v3FieldSecCo], nHalf)
-		parts.NECount = aliasSlice[int](body, h.fields[v3FieldSecNECount], nHalf)
-	} else {
-		parts.NV = make([]int, nVerts)
-		for i := range parts.NV {
-			v := binary.LittleEndian.Uint64(body[h.fields[v3FieldSecNV]+uint64(i)*8:])
-			parts.NV[i] = int(int64(v))
-		}
-		parts.RowStart = make([]uint32, nVerts+1)
-		for i := range parts.RowStart {
-			parts.RowStart[i] = binary.LittleEndian.Uint32(body[h.fields[v3FieldSecRowStart]+uint64(i)*4:])
-		}
-		parts.ColID = make([]uint32, nHalf)
-		for i := range parts.ColID {
-			parts.ColID[i] = binary.LittleEndian.Uint32(body[h.fields[v3FieldSecColID]+uint64(i)*4:])
-		}
-		parts.Co = make([]float64, nHalf)
-		for i := range parts.Co {
-			parts.Co[i] = math.Float64frombits(binary.LittleEndian.Uint64(body[h.fields[v3FieldSecCo]+uint64(i)*8:]))
-		}
-		parts.NECount = make([]int, nHalf)
-		for i := range parts.NECount {
-			v := binary.LittleEndian.Uint64(body[h.fields[v3FieldSecNECount]+uint64(i)*8:])
-			parts.NECount[i] = int(int64(v))
-		}
+	f := h.fields
+	parts.NV = readSection(body, f[v3FieldSecNV], nVerts, alias, 8, leInt)
+	parts.RowStart = readSection(body, f[v3FieldSecRowStart], nVerts+1, alias, 4, binary.LittleEndian.Uint32)
+	parts.ColID = readSection(body, f[v3FieldSecColID], nHalf, alias, 4, binary.LittleEndian.Uint32)
+	parts.Co = readSection(body, f[v3FieldSecCo], nHalf, alias, 8, leFloat)
+	parts.NECount = readSection(body, f[v3FieldSecNECount], nHalf, alias, 8, leInt)
+	if version >= 4 {
+		parts.Sess = readSection(body, f[v4FieldSecSess], nHalf, alias, 8, leFloat)
 	}
 
 	in, err := fragment.NewInternerFromFragments(frags)
@@ -327,7 +357,7 @@ func decodeV3(body []byte) (*Archive, bool, error) {
 	return &Archive{Dataset: dataset, Snapshot: snap, WalSeq: h.fields[v3FieldWalSeq]}, alias, nil
 }
 
-// Section describes one region of a v3 archive for diagnostics
+// Section describes one region of a v3+ archive for diagnostics
 // (qfg-inspect info prints the table).
 type Section struct {
 	Name string
@@ -336,7 +366,7 @@ type Section struct {
 	Off, Len uint64
 }
 
-// Sections returns a v3 archive's section table in file order. Archives in
+// Sections returns a v3+ archive's section table in file order. Archives in
 // the varint formats (v1/v2) have no sections; they return (nil, nil).
 func Sections(data []byte) ([]Section, error) {
 	if len(data) < headerSize+trailerSize {
@@ -345,16 +375,17 @@ func Sections(data []byte) ([]Section, error) {
 	if string(data[:len(magic)]) != magic {
 		return nil, ErrBadMagic
 	}
-	if binary.LittleEndian.Uint32(data[len(magic):]) < 3 {
+	version := binary.LittleEndian.Uint32(data[len(magic):])
+	if version < 3 {
 		return nil, nil
 	}
-	h, err := parseV3Header(data[:len(data)-trailerSize])
+	h, err := parseV3Header(data[:len(data)-trailerSize], version)
 	if err != nil {
 		return nil, err
 	}
 	nVerts, nHalf := h.fields[v3FieldVerts], h.fields[v3FieldHalves]
-	return []Section{
-		{"header", 0, uint64(v3HeaderOff + v3HeaderSize)},
+	secs := []Section{
+		{"header", 0, uint64(v3HeaderOff + fixedFields(version)*8)},
 		{"dataset", h.fields[v3FieldSecDataset], h.fields[v3FieldDatasetLen]},
 		{"fragments", h.fields[v3FieldSecFragTab], h.fields[v3FieldFrags] * v3FragRec},
 		{"exprblob", h.fields[v3FieldSecBlob], h.fields[v3FieldBlobLen]},
@@ -363,5 +394,9 @@ func Sections(data []byte) ([]Section, error) {
 		{"colid", h.fields[v3FieldSecColID], nHalf * 4},
 		{"co", h.fields[v3FieldSecCo], nHalf * 8},
 		{"necount", h.fields[v3FieldSecNECount], nHalf * 8},
-	}, nil
+	}
+	if version >= 4 {
+		secs = append(secs, Section{"sess", h.fields[v4FieldSecSess], nHalf * 8})
+	}
+	return secs, nil
 }

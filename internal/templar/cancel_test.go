@@ -50,7 +50,7 @@ func masSystem(t testing.TB) *System {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewLive(ds.DB, embedding.New(), graph.Snapshot(nil), Options{LogJoin: true})
+	return NewLive(ds.DB, embedding.New(), graph, Options{LogJoin: true})
 }
 
 // wideKeywords is a request whose candidate sets multiply into hundreds

@@ -10,13 +10,13 @@
 // with per-request knobs. Typical use:
 //
 //	entries, _ := sqlparse.ParseLog(logText)
-//	g, _ := qfg.Build(entries, fragment.NoConstOp)
-//	t := templar.NewLive(database, model, g.Snapshot(nil), templar.Options{})
+//	snap, _ := qfg.Build(entries, fragment.NoConstOp)
+//	t := templar.NewLive(database, model, snap, templar.Options{})
 //	configs, _ := t.MapKeywords(ctx, keywords, nil)
 //	paths, _ := t.InferJoins(ctx, []string{"publication", "domain"}, &templar.CallOptions{TopK: 3})
 //
 // NewLive is the one constructor, and its qfg.SnapshotSource decides the
-// log's lifecycle. A fixed *qfg.Snapshot (compiled from a graph, or loaded
+// log's lifecycle. A fixed *qfg.Snapshot (built from a log, or loaded
 // from internal/store) is a frozen log. A serving layer that keeps folding
 // user queries back into its log passes a *qfg.Live instead: every append
 // republishes an immutable snapshot, and the first read after it rebuilds

@@ -43,7 +43,7 @@ func fixtureDB(t testing.TB) *db.Database {
 	return d
 }
 
-func fixtureQFG(t testing.TB) *qfg.Graph {
+func fixtureQFG(t testing.TB) *qfg.Snapshot {
 	t.Helper()
 	entries, err := sqlparse.ParseLog(`
 10x: SELECT p.title FROM publication p WHERE p.year > 2000
@@ -61,7 +61,7 @@ func fixtureQFG(t testing.TB) *qfg.Graph {
 
 func TestFacadeMapKeywords(t *testing.T) {
 	d := fixtureDB(t)
-	sys := NewLive(d, embedding.New(), fixtureQFG(t).Snapshot(nil), Options{LogJoin: true})
+	sys := NewLive(d, embedding.New(), fixtureQFG(t), Options{LogJoin: true})
 	configs, err := sys.MapKeywords(context.Background(), []keyword.Keyword{
 		{Text: "papers", Meta: keyword.Metadata{Context: fragment.Select}},
 		{Text: "after 2000", Meta: keyword.Metadata{Context: fragment.Where, Op: ">"}},
@@ -83,7 +83,7 @@ func TestFacadeMapKeywords(t *testing.T) {
 
 func TestFacadeInferJoins(t *testing.T) {
 	d := fixtureDB(t)
-	sys := NewLive(d, embedding.New(), fixtureQFG(t).Snapshot(nil), Options{LogJoin: true})
+	sys := NewLive(d, embedding.New(), fixtureQFG(t), Options{LogJoin: true})
 	paths, err := sys.InferJoins(context.Background(), []string{"publication", "journal"}, &CallOptions{TopK: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -135,7 +135,7 @@ func TestFrozenSnapshotMatchesLive(t *testing.T) {
 	d := fixtureDB(t)
 	graph := fixtureQFG(t)
 	live := NewLive(d, embedding.New(), qfg.NewLive(graph), Options{LogJoin: true})
-	frozen := NewLive(d, embedding.New(), graph.Snapshot(nil), Options{LogJoin: true})
+	frozen := NewLive(d, embedding.New(), graph, Options{LogJoin: true})
 	if frozen.Live() != nil {
 		t.Fatal("snapshot-backed system must be frozen")
 	}

@@ -25,7 +25,7 @@ import (
 )
 
 // buildGraph trains a QFG from a dataset's full gold-SQL log.
-func buildGraph(t testing.TB, ds *datasets.Dataset) *qfg.Graph {
+func buildGraph(t testing.TB, ds *datasets.Dataset) *qfg.Snapshot {
 	t.Helper()
 	entries := make([]sqlparse.LogEntry, 0, len(ds.Tasks))
 	for _, task := range ds.Tasks {
@@ -52,7 +52,7 @@ func liveSystem(t testing.TB, ds *datasets.Dataset) *templar.System {
 // frozenSystem builds a non-appendable engine (Live() == nil).
 func frozenSystem(t testing.TB, ds *datasets.Dataset) *templar.System {
 	t.Helper()
-	return templar.NewLive(ds.DB, embedding.New(), buildGraph(t, ds).Snapshot(nil), templar.Options{LogJoin: true})
+	return templar.NewLive(ds.DB, embedding.New(), buildGraph(t, ds), templar.Options{LogJoin: true})
 }
 
 // storeLoadedLiveSystem round-trips the dataset's snapshot through the
@@ -60,12 +60,12 @@ func frozenSystem(t testing.TB, ds *datasets.Dataset) *templar.System {
 // cold-start-from-store path under live traffic.
 func storeLoadedLiveSystem(t testing.TB, ds *datasets.Dataset) *templar.System {
 	t.Helper()
-	packed := store.Encode(ds.Name, buildGraph(t, ds).Snapshot(nil))
+	packed := store.Encode(ds.Name, buildGraph(t, ds))
 	ar, err := store.Decode(packed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	live := qfg.NewLiveFromSnapshot(ar.Snapshot)
+	live := qfg.NewLive(ar.Snapshot)
 	return templar.NewLive(ds.DB, embedding.New(), live, templar.Options{LogJoin: true})
 }
 
@@ -77,7 +77,7 @@ func durableTenant(t testing.TB, ds *datasets.Dataset, storeDir, walDir string) 
 	t.Helper()
 	path := filepath.Join(storeDir, store.Filename(ds.Name))
 	if _, err := os.Stat(path); err != nil {
-		if err := store.WriteFile(path, ds.Name, buildGraph(t, ds).Snapshot(nil)); err != nil {
+		if err := store.WriteFile(path, ds.Name, buildGraph(t, ds)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -85,7 +85,7 @@ func durableTenant(t testing.TB, ds *datasets.Dataset, storeDir, walDir string) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	live := qfg.NewLiveFromSnapshot(ar.Snapshot)
+	live := qfg.NewLive(ar.Snapshot)
 	sys := templar.NewLive(ds.DB, embedding.New(), live, templar.Options{LogJoin: true})
 	tn := &serve.Tenant{Name: ds.Name, Sys: sys, Source: "store", StorePath: path, SnapshotSeq: ar.WalSeq}
 	rec, err := serve.AttachWAL(tn, walDir, wal.Options{})

@@ -194,7 +194,7 @@ func TestRoundTripErrorCodes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sys := templar.NewLive(ds.DB, embedding.New(), graph.Snapshot(nil), templar.Options{LogJoin: true})
+		sys := templar.NewLive(ds.DB, embedding.New(), graph, templar.Options{LogJoin: true})
 		ts := httptest.NewServer(serve.NewServer(sys, ds.Name, 2).Handler())
 		t.Cleanup(ts.Close)
 		fc, err := New(ts.URL)
