@@ -20,14 +20,36 @@
 //
 // # Entry points
 //
-// NewGenerator precomputes the weighted adjacency graph once per schema
-// and weight function; Infer then answers one relation bag, cloning the
-// precomputed graph per call so a Generator is safe for any number of
-// concurrent callers. LogWeights derives the log-driven weight function
-// from anything exposing Dice over relation pairs (a qfg.Snapshot — with
-// live logs, weights are baked from the current snapshot at engine-build
-// time, see templar.System). CountWeights
-// is the raw-co-occurrence ablation; UniformWeights is the shortest-path
+// NewGenerator precomputes the weighted relation-instance graph once per
+// schema and weight function; Infer then answers one relation bag. A
+// Generator is safe for any number of concurrent callers: duplicate-free
+// bags read the shared graph, and a self-join bag forks a private
+// copy-on-write view of it. LogWeights derives the log-driven weight
+// function from anything exposing Dice over relation pairs (a
+// qfg.Snapshot — with live logs, weights are baked from the current
+// snapshot at engine-build time, see templar.System). CountWeights is the
+// raw-co-occurrence ablation; UniformWeights is the shortest-path
 // baseline. Path carries the inferred join edges with their Score and the
 // Goodness value the NLIDB ranking blends in.
+//
+// # A function of the multiset
+//
+// INFERJOINS is defined over a bag, so the answer depends on the multiset
+// alone: Infer sorts the bag once, and the sorted bag is both the key of
+// the per-Generator result cache and the input of the Steiner search. Any
+// ordering of one multiset, on a cold or a warm cache, returns the same
+// ranked paths.
+//
+// # The search
+//
+// Every edge of the relation-instance graph has a dense integer ID (its
+// index in the graph's edge table, which records its endpoints lo < hi,
+// weight, FK and FK side). Dijkstra records predecessor edge IDs; an
+// alternative path is the search re-run with one edge ID banned; and KMB
+// steps 3–5 (the union of the terminal-pair shortest paths, Kruskal over
+// it, and pruning of non-terminal leaves) run on pooled per-edge and
+// per-vertex slices. Edges are ordered by (weight, lo, hi), which fixes the
+// Kruskal order, the order in which TotalWeight is summed, and the order
+// of a Path's Edges. TestInferDifferential holds this search to the
+// original string-keyed implementation, kept in the tests as the oracle.
 package joinpath

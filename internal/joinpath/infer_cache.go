@@ -1,10 +1,6 @@
 package joinpath
 
-import (
-	"sort"
-	"strings"
-	"sync"
-)
+import "sync"
 
 // inferCache memoizes InferCtx results per Generator. A Generator's graph
 // and edge weights are immutable after construction, so a relation bag
@@ -38,30 +34,6 @@ type inferEntry struct {
 	err   error
 }
 
-// inferKey builds the cache key: the bag as a sorted multiset. Path
-// inference is order-independent (applyBag orders terminals by first
-// occurrence, but the resulting Steiner problem — and the ranked output —
-// depends only on the multiset), so sorting maximizes hits. buf is a
-// reusable scratch slice; the (possibly regrown) buffer is returned so
-// callers can retain it.
-func inferKey(bag []string, buf []string) (string, []string) {
-	buf = append(buf[:0], bag...)
-	sort.Strings(buf)
-	n := len(buf)
-	for _, s := range buf {
-		n += len(s)
-	}
-	var b strings.Builder
-	b.Grow(n)
-	for i, s := range buf {
-		if i > 0 {
-			b.WriteByte(0)
-		}
-		b.WriteString(s)
-	}
-	return b.String(), buf
-}
-
 func (c *inferCache) shard(key string) *inferShard {
 	// FNV-1a over the key, folded into the shard index.
 	h := uint32(2166136261)
@@ -88,52 +60,4 @@ func (c *inferCache) put(key string, e inferEntry) {
 	}
 	s.m[key] = e
 	s.mu.Unlock()
-}
-
-// keyScratch pools the sort buffer inferKey needs per call.
-var keyScratchPool = sync.Pool{New: func() any { return new([]string) }}
-
-// ---------------------------------------------------------------------------
-// Pooled Dijkstra/Steiner working state (the cache-miss path).
-
-// predEdge is the predecessor record of one Dijkstra sweep.
-type predEdge struct {
-	prev int
-	he   halfEdge
-}
-
-// steinerScratch holds the per-call working state of the KMB approximation:
-// one Dijkstra row (distances + predecessors) per terminal plus the shared
-// visited bitmap. Pooled so repeated Infer calls on the same schema stop
-// allocating O(terminals × vertices) state per sweep.
-type steinerScratch struct {
-	dists   [][]float64
-	prevs   [][]predEdge
-	visited []bool
-}
-
-var steinerScratchPool = sync.Pool{New: func() any { return new(steinerScratch) }}
-
-// grab sizes the scratch for rows terminals over an n-vertex graph,
-// reusing retained capacity. Dijkstra fully reinitializes every cell it
-// reads, so stale values from previous calls are harmless.
-func (s *steinerScratch) grab(rows, n int) {
-	if cap(s.dists) < rows {
-		s.dists = make([][]float64, rows)
-		s.prevs = make([][]predEdge, rows)
-	}
-	s.dists = s.dists[:rows]
-	s.prevs = s.prevs[:rows]
-	for i := range s.dists {
-		if cap(s.dists[i]) < n {
-			s.dists[i] = make([]float64, n)
-			s.prevs[i] = make([]predEdge, n)
-		}
-		s.dists[i] = s.dists[i][:n]
-		s.prevs[i] = s.prevs[i][:n]
-	}
-	if cap(s.visited) < n {
-		s.visited = make([]bool, n)
-	}
-	s.visited = s.visited[:n]
 }

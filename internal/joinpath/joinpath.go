@@ -1,12 +1,16 @@
 package joinpath
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
+	"sync"
 
 	"templar/internal/schema"
 )
@@ -118,13 +122,12 @@ func (p Path) canonical() string {
 //
 // A Generator is safe for concurrent use: the relation-instance adjacency
 // graph (including every edge weight, which may be a log-driven Dice
-// computation) is precomputed once at construction, and each Infer call
-// works on a private clone so self-join forking never mutates shared state.
+// computation) is precomputed once at construction, and a self-join bag
+// forks a private copy-on-write clone of it, so no call mutates shared
+// state.
 type Generator struct {
-	graph  *schema.Graph
-	weight WeightFunc
-	// base is the precomputed relation-instance graph; Infer clones it
-	// instead of re-deriving relations, FK edges and weights per call.
+	graph *schema.Graph
+	// base is the precomputed relation-instance graph of the schema.
 	base *relGraph
 	// cache memoizes per-bag inference outcomes (see inferCache): the
 	// graph and weights never change after construction, so the ranked
@@ -137,7 +140,7 @@ func NewGenerator(g *schema.Graph, w WeightFunc) *Generator {
 	if w == nil {
 		w = UniformWeights
 	}
-	return &Generator{graph: g, weight: w, base: buildRelGraph(g, w)}
+	return &Generator{graph: g, base: buildRelGraph(g, w)}
 }
 
 // Infer implements INFERJOINS with no cancellation; see InferCtx.
@@ -150,13 +153,16 @@ func (gen *Generator) Infer(bag []string, topK int) ([]Path, error) {
 // forking), ranked from most to least likely. An empty bag is an error; a
 // bag whose relations cannot be connected is an error.
 //
+// The answer is a function of the multiset alone: the bag is sorted once,
+// and the sorted bag is both the cache key and the input of the Steiner
+// search, so element order and the calls served before never change it.
+//
 // ctx is checked before every Dijkstra sweep of the Steiner approximation
 // and between alternative-path retries, so a canceled request abandons the
 // path search mid-flight; the wrapped ctx error is returned.
 //
-// Outcomes are memoized per bag (the Generator's graph and weights are
-// immutable, so inference is deterministic): repeat bags — the common case
-// when translation tries several configurations naming the same relations —
+// Outcomes are memoized per bag: repeat bags — the common case when
+// translation tries several configurations naming the same relations —
 // skip the Steiner search entirely. The returned paths of a cache hit share
 // their Relations/Edges backing with the cache; callers must treat them as
 // read-only, which every caller in this module already does.
@@ -180,10 +186,14 @@ func (gen *Generator) InferCtx(ctx context.Context, bag []string, topK int) ([]P
 		return nil, fmt.Errorf("joinpath: inference canceled: %w", err)
 	}
 
-	buf := keyScratchPool.Get().(*[]string)
-	key, kb := inferKey(bag, *buf)
-	*buf = kb
-	keyScratchPool.Put(buf)
+	// The sorted bag is the cache key (joined by NUL, which no relation
+	// name contains) and the input of the search.
+	buf := bagPool.Get().(*[]string)
+	defer bagPool.Put(buf)
+	sorted := append((*buf)[:0], bag...)
+	sort.Strings(sorted)
+	*buf = sorted
+	key := strings.Join(sorted, "\x00")
 
 	if e, ok := gen.cache.get(key); ok {
 		if e.err != nil {
@@ -191,7 +201,7 @@ func (gen *Generator) InferCtx(ctx context.Context, bag []string, topK int) ([]P
 		}
 		return trimPaths(e.paths, topK), nil
 	}
-	paths, err := gen.inferUncached(ctx, bag)
+	paths, err := gen.inferUncached(ctx, sorted)
 	if err != nil {
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			return nil, err // transient: says nothing about the bag
@@ -203,6 +213,9 @@ func (gen *Generator) InferCtx(ctx context.Context, bag []string, topK int) ([]P
 	return trimPaths(paths, topK), nil
 }
 
+// bagPool pools the sorted copy of the bag InferCtx works on.
+var bagPool = sync.Pool{New: func() any { return new([]string) }}
+
 // trimPaths returns the best topK paths as a fresh top-level slice, so a
 // caller appending to its result can never clobber the cached tail. The
 // Path values themselves (and their Relations/Edges backing) stay shared.
@@ -213,47 +226,43 @@ func trimPaths(paths []Path, topK int) []Path {
 	return append([]Path(nil), paths...)
 }
 
-// inferUncached runs the actual Steiner search and returns the full ranked
-// path list, untrimmed so one cache entry serves every topK.
+// inferUncached runs the Steiner search on a sorted bag and returns the
+// full ranked path list, untrimmed so one cache entry serves every topK.
 func (gen *Generator) inferUncached(ctx context.Context, bag []string) ([]Path, error) {
 	// Self-join forking is the only mutation of the relation graph, so the
-	// shared precomputed base serves duplicate-free bags (the common case)
-	// directly; only bags with duplicates pay for a private clone.
+	// shared base serves duplicate-free bags (the common case) directly.
 	rg := gen.base
 	if hasDuplicates(bag) {
 		rg = gen.base.clone()
 	}
-	terminals, err := rg.applyBag(bag)
-	if err != nil {
-		return nil, err
-	}
-
+	terminals := rg.applyBag(bag)
 	if len(terminals) == 1 {
 		inst := rg.names[terminals[0]]
 		return []Path{{Relations: []string{inst}, Score: 1, Goodness: 1}}, nil
 	}
 
-	best, err := rg.steiner(ctx, terminals, nil)
+	sc := steinerScratchPool.Get().(*steinerScratch)
+	defer steinerScratchPool.Put(sc)
+	best, err := rg.steiner(ctx, sc, terminals, -1)
 	if err != nil {
 		return nil, err
 	}
-	paths := []Path{rg.toPath(best)}
+	paths := []Path{rg.toPath(sc, best)}
 	seen := map[string]bool{paths[0].canonical(): true}
 
 	// Alternatives: re-run with each edge of the best tree banned.
-	for _, te := range best.edges {
+	for _, id := range best.edges {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("joinpath: path search canceled: %w", err)
 		}
-		banned := map[edgeKey]bool{te.key(): true}
-		alt, err := rg.steiner(ctx, terminals, banned)
+		alt, err := rg.steiner(ctx, sc, terminals, id)
 		if err != nil {
 			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 				return nil, err // canceled mid-sweep, not a bridge
 			}
 			continue // this edge was a bridge; no alternative exists
 		}
-		p := rg.toPath(alt)
+		p := rg.toPath(sc, alt)
 		if k := p.canonical(); !seen[k] {
 			seen[k] = true
 			paths = append(paths, p)
@@ -274,185 +283,159 @@ func (gen *Generator) inferUncached(ctx context.Context, bag []string) ([]Path, 
 // ---------------------------------------------------------------------------
 // Internal relation-instance graph.
 
-// relGraph is a multigraph over relation instances. Vertex 0..n-1 names are
-// instance names; base(i) gives the underlying relation.
+// relGraph is a multigraph over relation instances. Vertices 0..len(idx)-1
+// are the schema's relations; self-join forks append clones after them.
+// Every undirected edge has a dense ID, its index in edges.
 type relGraph struct {
 	names []string
-	idx   map[string]int
-	// adj[i] lists half-edges; parallel FK edges are kept distinct.
-	adj    [][]halfEdge
-	weight WeightFunc
+	// idx maps a schema relation to its vertex; clones are never looked
+	// up by name.
+	idx map[string]int
+	// adj[v] lists v's half-edges; parallel FK edges are kept distinct.
+	adj   [][]halfEdge
+	edges []edge
 }
 
-// halfEdge is a directed view of an undirected join edge.
-type halfEdge struct {
-	to int
-	w  float64
-	fk schema.ForeignKey
-	// fkFromHere is true when the FK side of the edge is this vertex.
-	fkFromHere bool
+// edge is one undirected join edge between vertices lo <= hi.
+type edge struct {
+	lo, hi int
+	// fkSide is the endpoint on the FK side of the FK-PK join.
+	fkSide int
+	w      float64
+	fk     schema.ForeignKey
 }
 
-// edgeKey identifies an undirected edge instance.
-type edgeKey struct {
-	a, b int
-	fk   schema.ForeignKey
-}
-
-func makeEdgeKey(a, b int, fk schema.ForeignKey) edgeKey {
-	if b < a {
-		a, b = b, a
+// other returns the endpoint of e that is not v.
+func (e *edge) other(v int) int {
+	if v == e.lo {
+		return e.hi
 	}
-	return edgeKey{a, b, fk}
+	return e.lo
 }
 
-// treeEdge is an edge selected into a Steiner tree.
-type treeEdge struct {
-	a, b int
-	w    float64
-	fk   schema.ForeignKey
-	// aIsFK reports whether vertex a is the FK side.
-	aIsFK bool
-}
+// halfEdge is a directed view of edge id from its owner vertex.
+type halfEdge struct{ to, id int }
 
-func (t treeEdge) key() edgeKey { return makeEdgeKey(t.a, t.b, t.fk) }
-
-// tree is a Steiner tree result.
+// tree is a Steiner tree: its edge IDs in output order (see toPath) and
+// their total weight, summed in Kruskal order.
 type tree struct {
-	vertices map[int]bool
-	edges    []treeEdge
-	total    float64
-}
-
-// hasDuplicates reports whether the relation bag names any relation twice.
-// Bags are tiny (one relation per query keyword), so the common case scans
-// without allocating; the map path guards pathological batch inputs.
-func hasDuplicates(bag []string) bool {
-	if len(bag) <= 16 {
-		for i := 1; i < len(bag); i++ {
-			for j := 0; j < i; j++ {
-				if bag[i] == bag[j] {
-					return true
-				}
-			}
-		}
-		return false
-	}
-	seen := make(map[string]bool, len(bag))
-	for _, r := range bag {
-		if seen[r] {
-			return true
-		}
-		seen[r] = true
-	}
-	return false
-}
-
-// clone deep-copies the graph so self-join forking can extend it freely;
-// concurrent Infer calls each get an isolated copy of the shared base.
-func (rg *relGraph) clone() *relGraph {
-	c := &relGraph{
-		names:  append([]string(nil), rg.names...),
-		idx:    make(map[string]int, len(rg.idx)),
-		adj:    make([][]halfEdge, len(rg.adj)),
-		weight: rg.weight,
-	}
-	for name, i := range rg.idx {
-		c.idx[name] = i
-	}
-	for i, hes := range rg.adj {
-		c.adj[i] = append([]halfEdge(nil), hes...)
-	}
-	return c
+	edges []int
+	total float64
 }
 
 func buildRelGraph(g *schema.Graph, w WeightFunc) *relGraph {
-	rg := &relGraph{idx: make(map[string]int), weight: w}
+	rg := &relGraph{idx: make(map[string]int)}
 	for _, rn := range g.Relations() {
-		rg.addVertex(rn)
+		rg.idx[rn] = rg.addVertex(rn)
 	}
 	for _, fk := range g.ForeignKeys() {
-		rg.addEdge(rg.idx[fk.FromRel], rg.idx[fk.ToRel], fk)
+		rg.addEdge(rg.idx[fk.FromRel], rg.idx[fk.ToRel], w(fk.FromRel, fk.ToRel), fk)
 	}
 	return rg
 }
 
 func (rg *relGraph) addVertex(name string) int {
-	i := len(rg.names)
 	rg.names = append(rg.names, name)
-	rg.idx[name] = i
 	rg.adj = append(rg.adj, nil)
-	return i
+	return len(rg.names) - 1
 }
 
-func (rg *relGraph) addEdge(a, b int, fk schema.ForeignKey) {
-	w := rg.weight(BaseRelation(rg.names[a]), BaseRelation(rg.names[b]))
-	rg.adj[a] = append(rg.adj[a], halfEdge{to: b, w: w, fk: fk, fkFromHere: fk.FromRel == BaseRelation(rg.names[a])})
-	rg.adj[b] = append(rg.adj[b], halfEdge{to: a, w: w, fk: fk, fkFromHere: fk.FromRel == BaseRelation(rg.names[b])})
+func (rg *relGraph) addEdge(a, b int, w float64, fk schema.ForeignKey) {
+	e := edge{lo: min(a, b), hi: max(a, b), w: w, fk: fk}
+	e.fkSide = e.lo
+	if fk.FromRel != BaseRelation(rg.names[e.lo]) {
+		e.fkSide = e.hi
+	}
+	id := len(rg.edges)
+	rg.edges = append(rg.edges, e)
+	rg.adj[a] = append(rg.adj[a], halfEdge{to: b, id: id})
+	rg.adj[b] = append(rg.adj[b], halfEdge{to: a, id: id})
 }
 
-// applyBag turns a relation multiset into terminal vertex ids, forking the
-// graph for duplicates (Algorithm 4: one fork per extra reference).
-func (rg *relGraph) applyBag(bag []string) ([]int, error) {
-	counts := make(map[string]int)
-	order := make([]string, 0, len(bag))
-	for _, r := range bag {
-		if counts[r] == 0 {
-			order = append(order, r)
-		}
-		counts[r]++
+// clone returns a copy-on-write view of the graph for self-join forking:
+// every slice is capped at its length, so the appends of fork reallocate
+// and the shared base is only ever read.
+func (rg *relGraph) clone() *relGraph {
+	c := &relGraph{
+		names: rg.names[:len(rg.names):len(rg.names)],
+		idx:   rg.idx,
+		adj:   make([][]halfEdge, len(rg.adj)),
+		edges: rg.edges[:len(rg.edges):len(rg.edges)],
 	}
-	var terminals []int
-	for _, r := range order {
-		terminals = append(terminals, rg.idx[r])
-		for d := 2; d <= counts[r]; d++ {
-			cloneID := rg.fork(rg.idx[r], d)
-			terminals = append(terminals, cloneID)
+	for i, hes := range rg.adj {
+		c.adj[i] = hes[:len(hes):len(hes)]
+	}
+	return c
+}
+
+// hasDuplicates reports whether the sorted bag names any relation twice.
+func hasDuplicates(sorted []string) bool {
+	for i := 1; i < len(sorted); i++ {
+		if sorted[i] == sorted[i-1] {
+			return true
 		}
 	}
-	return terminals, nil
+	return false
+}
+
+// applyBag turns a sorted relation multiset into terminal vertex ids,
+// forking the graph for duplicates (Algorithm 4: one fork per extra
+// reference, numbered #2, #3, … per relation).
+func (rg *relGraph) applyBag(sorted []string) []int {
+	terminals := make([]int, len(sorted))
+	d := 1
+	for i, r := range sorted {
+		if i > 0 && r == sorted[i-1] {
+			d++
+			terminals[i] = rg.fork(rg.idx[r], d)
+			continue
+		}
+		d = 1
+		terminals[i] = rg.idx[r]
+	}
+	return terminals
 }
 
 // fork clones the subgraph rooted at relation vertex v (Algorithm 4 at the
 // relation level): the duplicated relation and every relation that
 // *references* it transitively are cloned; FK edges pointing away from a
 // clone reattach to the shared original target. The clone of vertex i gets
-// the instance name names[i] + "#d".
+// the instance name names[i] + "#d". A copied edge keeps its source edge's
+// weight: it joins the same two relations, and a WeightFunc is symmetric.
 func (rg *relGraph) fork(v int, d int) int {
-	suffix := fmt.Sprintf("#%d", d)
-	cloneOf := make(map[int]int)
-	var stack []int
+	suffix := "#" + strconv.Itoa(d)
+	// cloneOf[i] is the clone of schema vertex i, or -1 while this fork
+	// has not reached it.
+	cloneOf := make([]int, len(rg.idx))
+	for i := range cloneOf {
+		cloneOf[i] = -1
+	}
 	cloneOf[v] = rg.addVertex(rg.names[v] + suffix)
-	stack = append(stack, v)
-	visited := map[int]bool{v: true}
+	stack := []int{v}
 	for len(stack) > 0 {
 		old := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		newV := cloneOf[old]
 		for _, he := range rg.adj[old] {
 			conn := he.to
-			// Skip edges into already-cloned region (including edges among
-			// previously created clones of other forks: only walk the
-			// original graph, i.e. vertices without '#').
-			if strings.IndexByte(rg.names[conn], '#') >= 0 {
+			// Only walk the schema's own vertices: clones of this or
+			// earlier forks are never re-cloned. Algorithm 4 line 12:
+			// vertices already visited by this fork were connected when
+			// first reached; re-visiting them would add spurious edges
+			// back into the original graph.
+			if conn >= len(rg.idx) || cloneOf[conn] >= 0 {
 				continue
 			}
-			// Algorithm 4 line 12: vertices already visited by this fork
-			// were connected when first reached; re-visiting them would
-			// add spurious edges back into the original graph.
-			if visited[conn] {
-				continue
-			}
-			if he.fkFromHere {
+			e := rg.edges[he.id]
+			if e.fkSide == old {
 				// FK-PK edge in the direction old -> conn: terminate the
 				// fork here; connect the clone to the shared vertex.
-				rg.addEdge(newV, conn, he.fk)
+				rg.addEdge(newV, conn, e.w, e.fk)
 				continue
 			}
 			// conn references old: clone conn and continue traversal.
-			visited[conn] = true
 			cloneOf[conn] = rg.addVertex(rg.names[conn] + suffix)
-			rg.addEdge(newV, cloneOf[conn], he.fk)
+			rg.addEdge(newV, cloneOf[conn], e.w, e.fk)
 			stack = append(stack, conn)
 		}
 	}
@@ -460,13 +443,14 @@ func (rg *relGraph) fork(v int, d int) int {
 }
 
 // dijkstra computes shortest paths from src into the caller-provided
-// (pooled) buffers, honoring banned edges. Every cell of dist, prev and
-// visited is reinitialized before use, so reused buffers need no clearing.
-func (rg *relGraph) dijkstra(src int, banned map[edgeKey]bool, dist []float64, prev []predEdge, visited []bool) {
+// buffers, skipping the banned edge ID (-1 bans none). prev records the
+// edge ID each vertex was reached by, -1 for none. Every cell of dist,
+// prev and visited is reinitialized before use.
+func (rg *relGraph) dijkstra(src, banned int, dist []float64, prev []int, visited []bool) {
 	n := len(rg.names)
 	for i := 0; i < n; i++ {
 		dist[i] = math.Inf(1)
-		prev[i] = predEdge{prev: -1}
+		prev[i] = -1
 		visited[i] = false
 	}
 	dist[src] = 0
@@ -482,213 +466,184 @@ func (rg *relGraph) dijkstra(src int, banned map[edgeKey]bool, dist []float64, p
 		}
 		visited[u] = true
 		for _, he := range rg.adj[u] {
-			if banned != nil && banned[makeEdgeKey(u, he.to, he.fk)] {
+			if he.id == banned {
 				continue
 			}
-			if nd := dist[u] + he.w; nd < dist[he.to] {
+			if nd := dist[u] + rg.edges[he.id].w; nd < dist[he.to] {
 				dist[he.to] = nd
-				prev[he.to] = predEdge{prev: u, he: he}
+				prev[he.to] = he.id
 			}
 		}
 	}
 }
 
-// steiner runs the KMB approximation over the terminals, polling ctx
-// before each Dijkstra sweep (the dominant cost on large schemas).
-func (rg *relGraph) steiner(ctx context.Context, terminals []int, banned map[edgeKey]bool) (*tree, error) {
-	// Step 1: metric closure between terminals, over pooled sweep state.
-	type closureEdge struct {
-		a, b int // indexes into terminals
-		d    float64
-	}
-	sc := steinerScratchPool.Get().(*steinerScratch)
-	defer steinerScratchPool.Put(sc)
-	sc.grab(len(terminals), len(rg.names))
-	dists, prevs := sc.dists, sc.prevs
+// steiner runs the KMB approximation over the terminals with one edge
+// banned (-1 for none), polling ctx before each Dijkstra sweep (the
+// dominant cost on large schemas).
+func (rg *relGraph) steiner(ctx context.Context, sc *steinerScratch, terminals []int, banned int) (tree, error) {
+	k := len(terminals)
+	sc.grab(k, len(rg.names), len(rg.edges))
+
+	// Step 1: metric closure between terminals.
 	for i, t := range terminals {
 		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("joinpath: path search canceled: %w", err)
+			return tree{}, fmt.Errorf("joinpath: path search canceled: %w", err)
 		}
-		rg.dijkstra(t, banned, dists[i], prevs[i], sc.visited)
+		rg.dijkstra(t, banned, sc.dists[i], sc.prevs[i], sc.visited)
 	}
-	var closure []closureEdge
-	for i := 0; i < len(terminals); i++ {
-		for j := i + 1; j < len(terminals); j++ {
-			d := dists[i][terminals[j]]
-			if math.IsInf(d, 1) {
-				return nil, fmt.Errorf("joinpath: relations %q and %q are not connected",
+	for i := 0; i < k; i++ {
+		for j := i + 1; j < k; j++ {
+			if math.IsInf(sc.dists[i][terminals[j]], 1) {
+				return tree{}, fmt.Errorf("joinpath: relations %q and %q are not connected",
 					rg.names[terminals[i]], rg.names[terminals[j]])
 			}
-			closure = append(closure, closureEdge{i, j, d})
 		}
 	}
 
-	// Step 2: MST of the closure (Prim over terminal indexes).
-	inMST := make([]bool, len(terminals))
-	inMST[0] = true
-	type mstPick struct{ a, b int }
-	var picks []mstPick
-	for len(picks) < len(terminals)-1 {
-		best, bi := math.Inf(1), -1
-		for ci, ce := range closure {
-			if inMST[ce.a] == inMST[ce.b] {
-				continue
-			}
-			if ce.d < best {
-				best, bi = ce.d, ci
+	// Step 2: MST of the closure (Prim over terminal pairs a < b, first
+	// strict minimum wins), and step 3: expand each picked pair into its
+	// shortest path from terminal a and union the edges.
+	sc.inMST[0] = true
+	ids := sc.ids[:0]
+	for picked := 1; picked < k; picked++ {
+		best, pa, pb := math.Inf(1), -1, -1
+		for a := 0; a < k; a++ {
+			for b := a + 1; b < k; b++ {
+				if sc.inMST[a] == sc.inMST[b] {
+					continue
+				}
+				if d := sc.dists[a][terminals[b]]; d < best {
+					best, pa, pb = d, a, b
+				}
 			}
 		}
-		if bi < 0 {
-			return nil, fmt.Errorf("joinpath: terminals not connected")
+		if pa < 0 {
+			return tree{}, fmt.Errorf("joinpath: terminals not connected")
 		}
-		ce := closure[bi]
-		inMST[ce.a], inMST[ce.b] = true, true
-		picks = append(picks, mstPick{ce.a, ce.b})
-	}
-
-	// Step 3: expand each MST edge into its shortest path; union edges.
-	edgeSet := make(map[edgeKey]treeEdge)
-	vertices := make(map[int]bool)
-	for _, t := range terminals {
-		vertices[t] = true
-	}
-	for _, pk := range picks {
-		// Walk predecessors from terminals[pk.b] back to terminals[pk.a]
-		// using the Dijkstra tree rooted at terminals[pk.a].
-		cur := terminals[pk.b]
-		for cur != terminals[pk.a] {
-			pe := prevs[pk.a][cur]
-			if pe.prev < 0 {
-				return nil, fmt.Errorf("joinpath: internal: broken predecessor chain")
+		sc.inMST[pa], sc.inMST[pb] = true, true
+		for cur := terminals[pb]; cur != terminals[pa]; {
+			id := sc.prevs[pa][cur]
+			if id < 0 {
+				return tree{}, fmt.Errorf("joinpath: internal: broken predecessor chain")
 			}
-			k := makeEdgeKey(pe.prev, cur, pe.he.fk)
-			if _, ok := edgeSet[k]; !ok {
-				// Orient the tree edge so .a is the FK side when possible.
-				te := treeEdge{a: pe.prev, b: cur, w: pe.he.w, fk: pe.he.fk}
-				te.aIsFK = pe.he.fk.FromRel == BaseRelation(rg.names[pe.prev])
-				edgeSet[k] = te
+			if !sc.inUnion[id] {
+				sc.inUnion[id] = true
+				ids = append(ids, id)
 			}
-			vertices[pe.prev] = true
-			vertices[cur] = true
-			cur = pe.prev
+			cur = rg.edges[id].other(cur)
 		}
 	}
 
-	// Step 4: MST of the induced subgraph (Kruskal over collected edges —
-	// the union of shortest paths can contain cycles).
-	all := make([]treeEdge, 0, len(edgeSet))
-	for _, te := range edgeSet {
-		all = append(all, te)
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].w != all[j].w {
-			return all[i].w < all[j].w
-		}
-		return all[i].key().less(all[j].key())
-	})
-	parent := make(map[int]int)
-	var find func(x int) int
-	find = func(x int) int {
-		p, ok := parent[x]
-		if !ok || p == x {
-			parent[x] = x
-			return x
-		}
-		root := find(p)
-		parent[x] = root
-		return root
-	}
-	var mst []treeEdge
-	for _, te := range all {
-		ra, rb := find(te.a), find(te.b)
+	// Step 4: MST of the induced subgraph (Kruskal over the union, which
+	// can contain cycles), filtered in place.
+	slices.SortFunc(ids, rg.cmpKruskal)
+	mst := ids[:0]
+	for _, id := range ids {
+		e := &rg.edges[id]
+		ra, rb := find(sc.parent, e.lo), find(sc.parent, e.hi)
 		if ra == rb {
 			continue
 		}
-		parent[ra] = rb
-		mst = append(mst, te)
+		sc.parent[ra] = rb
+		mst = append(mst, id)
 	}
 
-	// Step 5: prune non-terminal leaves repeatedly.
-	termSet := make(map[int]bool, len(terminals))
+	// Step 5: prune non-terminal leaves until none is left, keeping the
+	// relative edge order.
 	for _, t := range terminals {
-		termSet[t] = true
+		sc.terminal[t] = true
 	}
-	for {
-		degree := make(map[int]int)
-		for _, te := range mst {
-			degree[te.a]++
-			degree[te.b]++
-		}
-		pruned := false
-		var kept []treeEdge
-		removeLeaf := -1
-		for v, d := range degree {
-			if d == 1 && !termSet[v] {
-				removeLeaf = v
-				break
-			}
-		}
-		if removeLeaf >= 0 {
-			for _, te := range mst {
-				if te.a == removeLeaf || te.b == removeLeaf {
-					pruned = true
-					continue
-				}
-				kept = append(kept, te)
-			}
-			mst = kept
-		}
-		if !pruned {
-			break
-		}
+	for _, id := range mst {
+		sc.degree[rg.edges[id].lo]++
+		sc.degree[rg.edges[id].hi]++
 	}
+	leaf := func(v int) bool { return sc.degree[v] == 1 && !sc.terminal[v] }
+	for pruned := true; pruned; {
+		pruned = false
+		kept := mst[:0]
+		for _, id := range mst {
+			if e := &rg.edges[id]; leaf(e.lo) || leaf(e.hi) {
+				sc.degree[e.lo]--
+				sc.degree[e.hi]--
+				pruned = true
+				continue
+			}
+			kept = append(kept, id)
+		}
+		mst = kept
+	}
+	sc.ids = ids
 
-	tr := &tree{vertices: make(map[int]bool)}
-	for _, t := range terminals {
-		tr.vertices[t] = true
+	tr := tree{edges: append([]int(nil), mst...)}
+	for _, id := range tr.edges {
+		tr.total += rg.edges[id].w
 	}
-	for _, te := range mst {
-		tr.vertices[te.a] = true
-		tr.vertices[te.b] = true
-		tr.total += te.w
-		tr.edges = append(tr.edges, te)
-	}
+	slices.SortFunc(tr.edges, rg.cmpKey)
 	return tr, nil
 }
 
-// less orders edge keys deterministically.
-func (k edgeKey) less(o edgeKey) bool {
-	if k.a != o.a {
-		return k.a < o.a
+// find is union-find's root lookup with path halving.
+func find(parent []int, x int) int {
+	for parent[x] != x {
+		parent[x] = parent[parent[x]]
+		x = parent[x]
 	}
-	if k.b != o.b {
-		return k.b < o.b
+	return x
+}
+
+// cmpKey orders edges by (lo, hi): the output order of a path's edges.
+// No sorted set holds two parallel edges: they weigh the same (weights
+// are per relation pair), so every Dijkstra sweep reaches over the
+// lowest-ID unbanned one, and a step-3 union or a tree holds at most one
+// of them. The FK therefore never decides the order; the ID only makes it
+// total.
+func (rg *relGraph) cmpKey(i, j int) int {
+	a, b := &rg.edges[i], &rg.edges[j]
+	if c := cmp.Compare(a.lo, b.lo); c != 0 {
+		return c
 	}
-	return k.fk.String() < o.fk.String()
+	if c := cmp.Compare(a.hi, b.hi); c != 0 {
+		return c
+	}
+	return cmp.Compare(i, j)
+}
+
+// cmpKruskal orders edges by weight, then by cmpKey.
+func (rg *relGraph) cmpKruskal(i, j int) int {
+	if c := cmp.Compare(rg.edges[i].w, rg.edges[j].w); c != 0 {
+		return c
+	}
+	return rg.cmpKey(i, j)
 }
 
 // toPath converts an internal tree into the public Path form.
-func (rg *relGraph) toPath(tr *tree) Path {
-	var p Path
-	for v := range tr.vertices {
-		p.Relations = append(p.Relations, rg.names[v])
+func (rg *relGraph) toPath(sc *steinerScratch, tr tree) Path {
+	p := Path{
+		Relations:   make([]string, 0, len(tr.edges)+1),
+		Edges:       make([]Edge, len(tr.edges)),
+		TotalWeight: tr.total,
 	}
-	sort.Strings(p.Relations)
-	edges := append([]treeEdge(nil), tr.edges...)
-	sort.Slice(edges, func(i, j int) bool { return edges[i].key().less(edges[j].key()) })
-	for _, te := range edges {
-		from, to := te.a, te.b
-		if !te.aIsFK {
-			from, to = to, from
+	vs := sc.ids[:0]
+	for i, id := range tr.edges {
+		e := &rg.edges[id]
+		p.Edges[i] = Edge{
+			FromInst: rg.names[e.fkSide],
+			ToInst:   rg.names[e.other(e.fkSide)],
+			FK:       e.fk,
+			Weight:   e.w,
 		}
-		p.Edges = append(p.Edges, Edge{
-			FromInst: rg.names[from],
-			ToInst:   rg.names[to],
-			FK:       te.fk,
-			Weight:   te.w,
-		})
+		vs = append(vs, e.lo, e.hi)
 	}
-	p.TotalWeight = tr.total
+	// Relations lists every vertex once; two forks may each name a clone
+	// "x#2", so vertices are deduplicated by ID, not by name.
+	slices.Sort(vs)
+	for i, v := range vs {
+		if i == 0 || v != vs[i-1] {
+			p.Relations = append(p.Relations, rg.names[v])
+		}
+	}
+	sc.ids = vs
+	sort.Strings(p.Relations)
 	if len(p.Edges) == 0 {
 		p.Score = 1
 	} else {
@@ -696,4 +651,59 @@ func (rg *relGraph) toPath(tr *tree) Path {
 	}
 	p.Goodness = 1 / (1 + p.TotalWeight)
 	return p
+}
+
+// steinerScratch holds the working state of one KMB search: a Dijkstra row
+// (distances + predecessor edge IDs) per terminal, the visited bitmap, and
+// the per-terminal, per-edge and per-vertex arrays of steps 2–5. Pooled so
+// repeated misses on the same schema stop allocating per sweep.
+type steinerScratch struct {
+	dists    [][]float64
+	prevs    [][]int
+	visited  []bool
+	inMST    []bool // per terminal: joined the closure MST
+	inUnion  []bool // per edge: already in the step-3 union
+	ids      []int  // edge IDs of steps 3–5; vertex IDs in toPath
+	parent   []int  // per vertex: union-find parent
+	degree   []int  // per vertex: degree in the Kruskal tree
+	terminal []bool // per vertex
+}
+
+var steinerScratchPool = sync.Pool{New: func() any { return new(steinerScratch) }}
+
+// grab sizes the scratch for k terminals over a graph of n vertices and m
+// edges, reusing retained capacity, and resets every array steps 2–5 read
+// before writing.
+func (s *steinerScratch) grab(k, n, m int) {
+	if cap(s.dists) < k {
+		s.dists = make([][]float64, k)
+		s.prevs = make([][]int, k)
+	}
+	s.dists, s.prevs = s.dists[:k], s.prevs[:k]
+	for i := range s.dists {
+		s.dists[i] = resize(s.dists[i], n)
+		s.prevs[i] = resize(s.prevs[i], n)
+	}
+	s.visited = resize(s.visited, n)
+	s.inMST = resize(s.inMST, k)
+	s.inUnion = resize(s.inUnion, m)
+	s.parent = resize(s.parent, n)
+	s.degree = resize(s.degree, n)
+	s.terminal = resize(s.terminal, n)
+	clear(s.inMST)
+	clear(s.inUnion)
+	clear(s.degree)
+	clear(s.terminal)
+	for i := range s.parent {
+		s.parent[i] = i
+	}
+}
+
+// resize returns s with length n, reallocating only when its capacity is
+// short; the contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }

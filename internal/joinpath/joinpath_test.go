@@ -1,10 +1,12 @@
 package joinpath
 
 import (
+	"context"
 	"sort"
 	"strings"
 	"testing"
 
+	"templar/internal/datasets"
 	"templar/internal/schema"
 )
 
@@ -452,6 +454,27 @@ func BenchmarkInferSelfJoin(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := gen.Infer([]string{"author", "author", "publication"}, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkInferMiss times the uncached search (the path every cache miss
+// and every first read after a publish takes) over a fixed rotation of
+// sorted bags on the bundled MAS schema, one of them a self-join.
+func BenchmarkInferMiss(b *testing.B) {
+	gen := NewGenerator(datasets.MAS().DB.Schema(), nil)
+	bags := [][]string{
+		{"domain", "publication"},
+		{"author", "keyword", "organization"},
+		{"author", "author", "publication"},
+		{"conference", "domain", "journal", "publication"},
+	}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := gen.inferUncached(ctx, bags[i%len(bags)]); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -405,8 +405,7 @@ func BenchmarkTranslatePipelinePlus(b *testing.B) {
 // TestNewSystemMatchesNewFromParts pins NewSystem's wiring to the parts
 // a serving layer assembles by hand: a mapper over the snapshot and a
 // generator with LogWeights from that same snapshot must produce identical
-// configurations and translations, with the same TopConfigs/TopPaths
-// defaults.
+// configurations and translations.
 func TestNewSystemMatchesNewFromParts(t *testing.T) {
 	d := exampleDB(t)
 	snap := exampleQFG(t)

@@ -33,13 +33,23 @@ type Translation struct {
 
 // System is one NLIDB under evaluation.
 type System struct {
-	name       string
-	mapper     *keyword.Mapper
-	joins      *joinpath.Generator
-	noise      *ParserNoise
-	topConfigs int
-	topPaths   int
+	name   string
+	mapper *keyword.Mapper
+	joins  *joinpath.Generator
+	noise  *ParserNoise
 }
+
+const (
+	// defaultTopConfigs bounds how many configurations are tried for SQL
+	// construction.
+	defaultTopConfigs = 8
+	// defaultTopPaths bounds how many join paths are considered per
+	// configuration. Under uniform weights an equal-length rival path
+	// yields the same ranking score with different SQL, which the
+	// evaluation counts as incorrect; a few alternatives per
+	// configuration let those ties surface.
+	defaultTopPaths = 3
+)
 
 // Name returns the system's display name ("Pipeline", "Pipeline+", …).
 func (s *System) Name() string { return s.name }
@@ -59,13 +69,6 @@ type Config struct {
 	JoinWeights joinpath.WeightFunc
 	// Noise applies a parser corruption model before mapping (NaLIR).
 	Noise *ParserNoise
-	// TopConfigs bounds how many configurations are tried for SQL
-	// construction. Default 8.
-	TopConfigs int
-	// TopPaths bounds how many join paths are considered per
-	// configuration. Default 3, so equal-weight rival paths surface as
-	// ties.
-	TopPaths int
 }
 
 // NewSystem assembles a named NLIDB: a keyword mapper ranking against the
@@ -85,26 +88,9 @@ func NewSystem(name string, database *db.Database, model *embedding.Model, cfg C
 // generator, so a serving layer can run translation through the same
 // index/cache-backed components it uses for direct mapping calls. The
 // Keyword, QFG, LogJoin and JoinWeights fields of cfg are ignored — they
-// are already baked into the parts; Noise, TopConfigs and TopPaths apply.
+// are already baked into the parts; Noise applies.
 func NewFromParts(name string, mapper *keyword.Mapper, joins *joinpath.Generator, cfg Config) *System {
-	if cfg.TopConfigs <= 0 {
-		cfg.TopConfigs = 8
-	}
-	if cfg.TopPaths <= 0 {
-		// Consider a few alternative join paths per configuration so
-		// equal-weight alternatives surface as ties: under uniform weights
-		// an equal-length rival path yields the same ranking score with
-		// different SQL, which the evaluation counts as incorrect.
-		cfg.TopPaths = 3
-	}
-	return &System{
-		name:       name,
-		mapper:     mapper,
-		joins:      joins,
-		noise:      cfg.Noise,
-		topConfigs: cfg.TopConfigs,
-		topPaths:   cfg.TopPaths,
-	}
+	return &System{name: name, mapper: mapper, joins: joins, noise: cfg.Noise}
 }
 
 // CallOptions are per-request overrides of a System's construction-time
@@ -114,15 +100,15 @@ type CallOptions struct {
 	// obscurity assertion).
 	Keyword keyword.CallOptions
 	// TopConfigs overrides how many configurations are tried for SQL
-	// construction (0 = configured default).
+	// construction (0 = default, 8).
 	TopConfigs int
 	// TopPaths overrides how many join paths are considered per
-	// configuration (0 = configured default).
+	// configuration (0 = default, 3).
 	TopPaths int
 }
 
-// Translate runs the full pipeline with no cancellation and the System's
-// configured bounds; see TranslateCtx.
+// Translate runs the full pipeline with no cancellation and the
+// default bounds; see TranslateCtx.
 func (s *System) Translate(nlq string, hazard bool, kws []keyword.Keyword) (*Translation, error) {
 	return s.TranslateCtx(context.Background(), nlq, hazard, kws, CallOptions{})
 }
@@ -138,11 +124,11 @@ func (s *System) TranslateCtx(ctx context.Context, nlq string, hazard bool, kws 
 	if s.noise != nil {
 		kws = s.noise.Corrupt(nlq, hazard, kws)
 	}
-	topConfigs := s.topConfigs
+	topConfigs := defaultTopConfigs
 	if co.TopConfigs > 0 {
 		topConfigs = co.TopConfigs
 	}
-	topPaths := s.topPaths
+	topPaths := defaultTopPaths
 	if co.TopPaths > 0 {
 		topPaths = co.TopPaths
 	}
