@@ -46,6 +46,8 @@ fuzz:
 	$(GO) test ./internal/sqlparse -fuzz 'FuzzParse$$' -fuzztime 30s
 	$(GO) test ./internal/sqlparse -fuzz 'FuzzParseLog$$' -fuzztime 30s
 	$(GO) test ./internal/keyword -fuzz 'FuzzParseSpec$$' -fuzztime 30s
+	$(GO) test ./internal/nlidb -run '^$$' -fuzz 'FuzzCanonicalSQL$$' -fuzztime 30s
+	$(GO) test ./internal/nlidb -run '^$$' -fuzz 'FuzzCanonicalSQLAST$$' -fuzztime 30s
 	$(GO) test ./internal/store -run '^$$' -fuzz 'FuzzDecode$$' -fuzztime 30s
 
 fmt:

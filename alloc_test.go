@@ -21,9 +21,9 @@ import (
 // fails loudly. If a deliberate change moves the floor, re-measure with
 // `make alloc-check` and adjust the ceiling alongside the change.
 const (
-	maxAllocsMapKeywords = 200 // measured ~96/op
+	maxAllocsMapKeywords = 150 // measured ~74/op
 	maxAllocsInferJoins  = 30  // measured ~2/op (cache hit)
-	maxAllocsTranslate   = 600 // measured ~272/op
+	maxAllocsTranslate   = 400 // measured ~201/op
 )
 
 func allocSystem(t testing.TB) (*templarpkg.System, *datasets.Dataset) {

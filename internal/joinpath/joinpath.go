@@ -247,8 +247,11 @@ func (gen *Generator) inferUncached(ctx context.Context, bag []string) ([]Path, 
 	if err != nil {
 		return nil, err
 	}
-	paths := []Path{rg.toPath(sc, best)}
-	seen := map[string]bool{paths[0].canonical(): true}
+	// Each path's canonical key is built once: it dedupes the banned-edge
+	// alternatives (at most one per edge of the best tree, so a scan
+	// beats a set) and breaks the final ranking's last ties.
+	first := rg.toPath(sc, best)
+	ranked := []keyedPath{{first, first.canonical()}}
 
 	// Alternatives: re-run with each edge of the best tree banned.
 	for _, id := range best.edges {
@@ -263,21 +266,31 @@ func (gen *Generator) inferUncached(ctx context.Context, bag []string) ([]Path, 
 			continue // this edge was a bridge; no alternative exists
 		}
 		p := rg.toPath(sc, alt)
-		if k := p.canonical(); !seen[k] {
-			seen[k] = true
-			paths = append(paths, p)
+		if k := p.canonical(); !slices.ContainsFunc(ranked, func(r keyedPath) bool { return r.key == k }) {
+			ranked = append(ranked, keyedPath{p, k})
 		}
 	}
-	sort.Slice(paths, func(i, j int) bool {
-		if paths[i].TotalWeight != paths[j].TotalWeight {
-			return paths[i].TotalWeight < paths[j].TotalWeight
+	sort.Slice(ranked, func(i, j int) bool {
+		a, b := &ranked[i].path, &ranked[j].path
+		if a.TotalWeight != b.TotalWeight {
+			return a.TotalWeight < b.TotalWeight
 		}
-		if len(paths[i].Edges) != len(paths[j].Edges) {
-			return len(paths[i].Edges) < len(paths[j].Edges)
+		if len(a.Edges) != len(b.Edges) {
+			return len(a.Edges) < len(b.Edges)
 		}
-		return paths[i].canonical() < paths[j].canonical()
+		return ranked[i].key < ranked[j].key
 	})
+	paths := make([]Path, len(ranked))
+	for i := range ranked {
+		paths[i] = ranked[i].path
+	}
 	return paths, nil
+}
+
+// keyedPath is a candidate path with its canonical key.
+type keyedPath struct {
+	path Path
+	key  string
 }
 
 // ---------------------------------------------------------------------------

@@ -24,6 +24,15 @@
 // FindTextAttrs/FindNumericAttrs probes and Dice, Occurrences and Queries
 // recomputed from plain fragment-keyed counts of the log.
 //
+// Nothing on a miss sorts more than it keeps. A full-text probe merges the
+// sorted posting lists of the index (a union per query stem, intersected
+// across stems) with no set and no final sort. PRUNE (§V-B) selects the
+// top κ per keyword by bounded insertion into the pooled candidate buffer,
+// in the order a stable sort of all candidates would give; that sort plus
+// cut stays in the tests as the selection's oracle. Configurations are
+// ranked by the same kind of bounded selection (topkSel) when the caller
+// wants only the best few.
+//
 // Keyword carries the parser metadata M_k = (τ, ω, F, g) of §V-A;
 // ParseSpec builds keyword lists from the compact "text:context[:op|:agg]"
 // textual form the CLI and HTTP layers accept. Configuration is one ranked

@@ -18,6 +18,7 @@ func FuzzParseSpec(f *testing.F) {
 		"papers:select;Databases:where",
 		"papers:select:COUNT;after 2000:where:>",
 		"names:select:count+g",
+		"names:select:Avg",
 		"author:from; VLDB : where : != ",
 		"citations:select:SUM+g;;",
 		"papers",
@@ -49,6 +50,9 @@ func FuzzParseSpec(f *testing.F) {
 		for i, kw := range kws {
 			if strings.TrimSpace(kw.Text) == "" {
 				t.Fatalf("ParseSpec(%q) keyword %d has empty text", spec, i)
+			}
+			if err := kw.Validate(); err != nil {
+				t.Fatalf("ParseSpec(%q) keyword %d fails Validate: %v", spec, i, err)
 			}
 			clauses[i] = renderClause(t, kw)
 		}

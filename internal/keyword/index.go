@@ -180,34 +180,115 @@ func (ci *candidateIndex) findTextAttrs(keyword string) []db.TextMatch {
 
 // matchAll intersects, across query stems, the union of postings of tokens
 // having the stem as a prefix. Results are sorted, matching Table.MatchAll.
+// Every list involved is sorted and duplicate-free, so both steps are
+// merges: a stem's prefix-matching tokens are one contiguous run of the
+// sorted vocabulary, their postings merge into one union, and each later
+// stem's union is intersected into the running result in place. The result
+// is a fresh slice; it never aliases a posting.
 func (ta *textAttrIndex) matchAll(queryStems []string) []string {
-	var result map[string]bool
-	for _, qs := range queryStems {
+	var result []string
+	for i, qs := range queryStems {
 		lo := sort.SearchStrings(ta.tokens, qs)
-		matched := make(map[string]bool)
-		for i := lo; i < len(ta.tokens) && strings.HasPrefix(ta.tokens[i], qs); i++ {
-			for _, v := range ta.postings[i] {
-				matched[v] = true
-			}
+		hi := lo + sort.Search(len(ta.tokens)-lo, func(j int) bool {
+			return !strings.HasPrefix(ta.tokens[lo+j], qs)
+		})
+		if lo == hi {
+			return nil
 		}
-		if result == nil {
-			result = matched
-		} else {
-			for v := range result {
-				if !matched[v] {
-					delete(result, v)
-				}
-			}
+		lists := ta.postings[lo:hi]
+		switch {
+		case i == 0:
+			result = unionSorted(lists)
+		case len(lists) == 1:
+			result = intersectSorted(result, lists[0])
+		default:
+			result = intersectSorted(result, unionSorted(lists))
 		}
 		if len(result) == 0 {
 			return nil
 		}
 	}
-	out := make([]string, 0, len(result))
-	for v := range result {
-		out = append(out, v)
+	return result
+}
+
+// unionSorted returns the sorted union of sorted, duplicate-free lists as a
+// fresh slice. Several lists are merged bottom-up: they start side by side
+// in one buffer, and each pass merges neighbouring runs pairwise into a
+// second buffer, so a short stem matching many tokens costs
+// O(total·log(lists)) rather than a merge per list.
+func unionSorted(lists [][]string) []string {
+	if len(lists) == 1 {
+		return append([]string(nil), lists[0]...)
 	}
-	sort.Strings(out)
+	n := 0
+	for _, l := range lists {
+		n += len(l)
+	}
+	buf := make([]string, 0, n)
+	ends := make([]int, len(lists)) // run i is buf[ends[i-1]:ends[i]]
+	for i, l := range lists {
+		buf = append(buf, l...)
+		ends[i] = len(buf)
+	}
+	tmp := make([]string, 0, n)
+	for len(ends) > 1 {
+		tmp = tmp[:0]
+		start, runs := 0, 0
+		for i := 0; i < len(ends); i += 2 {
+			if i+1 < len(ends) {
+				tmp = mergeSorted(tmp, buf[start:ends[i]], buf[ends[i]:ends[i+1]])
+				start = ends[i+1]
+			} else {
+				tmp = append(tmp, buf[start:ends[i]]...)
+			}
+			ends[runs] = len(tmp)
+			runs++
+		}
+		ends = ends[:runs]
+		buf, tmp = tmp, buf
+	}
+	return buf
+}
+
+// mergeSorted appends the sorted union of sorted, duplicate-free a and b
+// to dst.
+func mergeSorted(dst, a, b []string) []string {
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch c := strings.Compare(a[i], b[j]); {
+		case c < 0:
+			dst = append(dst, a[i])
+			i++
+		case c > 0:
+			dst = append(dst, b[j])
+			j++
+		default:
+			dst = append(dst, a[i])
+			i++
+			j++
+		}
+	}
+	dst = append(dst, a[i:]...)
+	return append(dst, b[j:]...)
+}
+
+// intersectSorted keeps, in place, the elements of sorted a that sorted b
+// also holds.
+func intersectSorted(a, b []string) []string {
+	out := a[:0]
+	j := 0
+	for _, v := range a {
+		for j < len(b) && b[j] < v {
+			j++
+		}
+		if j == len(b) {
+			break
+		}
+		if b[j] == v {
+			out = append(out, v)
+			j++
+		}
+	}
 	return out
 }
 

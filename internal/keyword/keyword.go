@@ -404,7 +404,8 @@ func (m *Mapper) bestValues(keyword string, vals []string, n int) []string {
 // ---------------------------------------------------------------------------
 // Algorithm 3: scoring and pruning.
 
-// scoreAndPrune computes σ per candidate and applies the PRUNE procedure.
+// scoreAndPrune computes σ per candidate and applies the PRUNE procedure
+// (see prune), reordering cands in place and returning a prefix of it.
 func (m *Mapper) scoreAndPrune(kw Keyword, cands []Mapping, opts Options) []Mapping {
 	num, hasNum := extractNumber(kw.Text)
 	stext := kw.Text
@@ -428,8 +429,7 @@ func (m *Mapper) scoreAndPrune(kw Keyword, cands []Mapping, opts Options) []Mapp
 		}
 		c.Sim = m.simText(kw.Text, *c)
 	}
-	sort.SliceStable(cands, func(i, j int) bool { return cands[i].Sim > cands[j].Sim })
-	return m.prune(cands, opts)
+	return prune(cands, opts.K, opts.Epsilon)
 }
 
 // label is the human-vocabulary rendering of a mapping target for
@@ -475,56 +475,6 @@ func (m *Mapper) simText(keyword string, c Mapping) float64 {
 		}
 		return valueSim
 	}
-}
-
-// prune implements the PRUNE procedure of §V-B: exact matches expel
-// everything else; otherwise keep top-κ plus κ-th-place ties with σ > 0.
-func (m *Mapper) prune(sorted []Mapping, opts Options) []Mapping {
-	if len(sorted) == 0 {
-		return nil
-	}
-	eps := opts.Epsilon
-	if sorted[0].Sim >= 1-eps {
-		// Forward in-place filter: kept elements only ever move left within
-		// the (scratch-owned) backing, so no extra allocation is needed.
-		exact := sorted[:0]
-		for _, c := range sorted {
-			if c.Sim >= 1-eps {
-				exact = append(exact, c)
-			}
-		}
-		return exact
-	}
-	k := opts.K
-	if len(sorted) <= k {
-		return trimZero(sorted)
-	}
-	cut := sorted[k-1].Sim
-	out := sorted[:k]
-	for i := k; i < len(sorted); i++ {
-		if sorted[i].Sim == cut && cut > 0 {
-			out = append(out, sorted[i])
-		} else {
-			break
-		}
-	}
-	return trimZero(out)
-}
-
-// trimZero drops zero-similarity candidates unless everything is zero.
-// The filter runs in place (candidates are sorted scratch, never aliased by
-// a caller), writing each kept element at or before its original position.
-func trimZero(ms []Mapping) []Mapping {
-	nz := ms[:0]
-	for _, c := range ms {
-		if c.Sim > 0 {
-			nz = append(nz, c)
-		}
-	}
-	if len(nz) == 0 {
-		return ms
-	}
-	return nz
 }
 
 // ---------------------------------------------------------------------------

@@ -167,7 +167,7 @@ func TestPruneKeepsTopKWithTies(t *testing.T) {
 		{Keyword: "x", Kind: KindRelation, Rel: "c", Sim: 0.5},
 		{Keyword: "x", Kind: KindRelation, Rel: "d", Sim: 0.4},
 	}
-	got := m.prune(sorted, m.opts)
+	got := prune(sorted, m.opts.K, m.opts.Epsilon)
 	if len(got) != 3 { // top-2 plus the tie at 2nd place
 		t.Fatalf("prune = %v", got)
 	}
@@ -176,7 +176,7 @@ func TestPruneKeepsTopKWithTies(t *testing.T) {
 		{Keyword: "x", Kind: KindRelation, Rel: "a", Sim: 0.9},
 		{Keyword: "x", Kind: KindRelation, Rel: "b", Sim: 0},
 	}
-	if got := m.prune(sorted2, m.opts); len(got) != 1 {
+	if got := prune(sorted2, m.opts.K, m.opts.Epsilon); len(got) != 1 {
 		t.Fatalf("prune zero = %v", got)
 	}
 }

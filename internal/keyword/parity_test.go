@@ -3,15 +3,19 @@ package keyword_test
 import (
 	"math"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
 	"templar/internal/datasets"
+	"templar/internal/db"
 	"templar/internal/embedding"
 	"templar/internal/fragment"
 	"templar/internal/keyword"
 	"templar/internal/qfg"
+	"templar/internal/schema"
 	"templar/internal/sqlparse"
+	"templar/internal/stem"
 )
 
 // goldLog mines the dataset's complete gold-SQL log at one obscurity level,
@@ -126,8 +130,104 @@ func TestCandidateIndexMatchesDatabaseProbes(t *testing.T) {
 			if probes == 0 {
 				t.Fatal("no numeric keywords probed")
 			}
+			// Keywords built from the stored text, so matchAll's merges
+			// run on every shape: stems prefix-matching several tokens
+			// (whose postings are unioned) and several stems (whose unions
+			// are intersected), with empty and non-empty results.
+			unions, intersections := 0, 0
+			merges := mergeProbeKeywords(ds.DB)
+			for _, kw := range merges {
+				got, want := m.IndexTextAttrs(kw.text), ds.DB.FindTextAttrs(kw.text)
+				if !sameMatches(got, want) {
+					t.Fatalf("text probe %q = %v, want %v", kw.text, got, want)
+				}
+				if len(want) > 0 && kw.multiToken {
+					unions++
+				}
+				if len(want) > 0 && kw.multiStem {
+					intersections++
+				}
+			}
+			t.Logf("%d merge probes: %d matched with a multi-token stem, %d with several stems", len(merges), unions, intersections)
+			if unions == 0 || intersections == 0 {
+				t.Fatalf("merge probes matched %d multi-token stems and %d multi-stem keywords; want both > 0", unions, intersections)
+			}
 		})
 	}
+}
+
+// mergeProbe is one synthetic full-text keyword: multiToken when one of
+// its stems is a prefix of two or more distinct stored tokens of some text
+// attribute, multiStem when it has two or more stems.
+type mergeProbe struct {
+	text                  string
+	multiToken, multiStem bool
+}
+
+// mergeProbeKeywords derives full-text keywords from up to 16 sorted
+// distinct values of every text attribute: the value itself, two- and
+// three-letter prefixes of its tokens, a prefix paired with its last
+// token, and its first token paired with the next value's first token.
+func mergeProbeKeywords(d *db.Database) []mergeProbe {
+	var out []mergeProbe
+	g := d.Schema()
+	for _, rn := range g.Relations() {
+		rel, _ := g.Relation(rn)
+		for _, a := range rel.Attributes {
+			if a.Type != schema.Text {
+				continue
+			}
+			vals := d.Table(rn).DistinctValues(a.Name)
+			sort.Strings(vals)
+			vocab := map[string]bool{}
+			for _, v := range vals {
+				for _, tok := range db.Tokenize(v) {
+					vocab[stem.Stem(tok)] = true
+				}
+			}
+			multiToken := func(text string) bool {
+				for _, tok := range db.Tokenize(text) {
+					s, n := stem.Stem(tok), 0
+					for w := range vocab {
+						if strings.HasPrefix(w, s) {
+							n++
+						}
+					}
+					if n >= 2 {
+						return true
+					}
+				}
+				return false
+			}
+			add := func(text string) {
+				out = append(out, mergeProbe{text: text, multiToken: multiToken(text), multiStem: len(db.Tokenize(text)) >= 2})
+			}
+			step := len(vals)/16 + 1
+			for i := 0; i < len(vals); i += step {
+				toks := db.Tokenize(vals[i])
+				if len(toks) == 0 {
+					continue
+				}
+				add(vals[i])
+				for _, tok := range toks {
+					for _, n := range []int{2, 3} {
+						if len(tok) > n {
+							add(tok[:n])
+						}
+					}
+				}
+				if first := toks[0]; len(first) > 3 {
+					add(first[:3] + " " + toks[len(toks)-1])
+				}
+				if i+1 < len(vals) {
+					if next := db.Tokenize(vals[i+1]); len(next) > 0 {
+						add(toks[0] + " " + next[0])
+					}
+				}
+			}
+		}
+	}
+	return out
 }
 
 // refQFGScore recomputes ScoreQFG (§V-C2) from the reference counts: the geometric mean of Dice

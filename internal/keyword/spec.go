@@ -14,9 +14,9 @@ import (
 //
 // where context is select, where or from (case-insensitive) and the
 // optional extra is either a comparison operator (>, >=, <, <=, =, !=) for
-// WHERE-context numeric keywords or an aggregate function name
-// (COUNT, SUM, AVG, MIN, MAX) for SELECT-context keywords. A trailing "+g"
-// on an aggregate marks the group-by flag. Examples:
+// WHERE-context numeric keywords or an aggregate function name (COUNT,
+// SUM, AVG, MIN, MAX, in any case) for SELECT-context keywords. A trailing
+// "+g" on an aggregate marks the group-by flag. Examples:
 //
 //	"papers:select;Databases:where"
 //	"papers:select:COUNT;after 2000:where:>"
@@ -56,17 +56,16 @@ func ParseSpec(spec string) ([]Keyword, error) {
 				group = true
 				extra = strings.TrimSuffix(extra, "+g")
 			}
-			switch extra {
-			case ">", ">=", "<", "<=", "=", "!=":
+			switch {
+			case isOperator(extra):
 				if group {
 					return nil, fmt.Errorf("keyword: group flag on operator in %q", clause)
 				}
 				kw.Meta.Op = extra
-			case "COUNT", "SUM", "AVG", "MIN", "MAX",
-				"count", "sum", "avg", "min", "max":
+			case isAggregate(strings.ToUpper(extra)):
 				kw.Meta.Aggs = []string{strings.ToUpper(extra)}
 				kw.Meta.GroupBy = group
-			case "":
+			case extra == "":
 				return nil, fmt.Errorf("keyword: empty extra in %q", clause)
 			default:
 				return nil, fmt.Errorf("keyword: unknown operator or aggregate %q in %q", extra, clause)
@@ -78,4 +77,37 @@ func ParseSpec(spec string) ([]Keyword, error) {
 		return nil, fmt.Errorf("keyword: empty specification")
 	}
 	return out, nil
+}
+
+// Validate reports keyword metadata that ParseSpec could not have
+// produced: an operator other than >, >=, <, <=, =, != (or none), or an
+// aggregate other than COUNT, SUM, AVG, MIN, MAX in upper case. The
+// mapper copies both into the SQL it helps build, so callers that take
+// keywords from outside the program check them here first.
+func (kw Keyword) Validate() error {
+	if kw.Meta.Op != "" && !isOperator(kw.Meta.Op) {
+		return fmt.Errorf("keyword: unknown operator %q for %q (want >, >=, <, <=, = or !=)", kw.Meta.Op, kw.Text)
+	}
+	for _, agg := range kw.Meta.Aggs {
+		if !isAggregate(agg) {
+			return fmt.Errorf("keyword: unknown aggregate %q for %q (want COUNT, SUM, AVG, MIN or MAX)", agg, kw.Text)
+		}
+	}
+	return nil
+}
+
+func isOperator(op string) bool {
+	switch op {
+	case ">", ">=", "<", "<=", "=", "!=":
+		return true
+	}
+	return false
+}
+
+func isAggregate(agg string) bool {
+	switch agg {
+	case "COUNT", "SUM", "AVG", "MIN", "MAX":
+		return true
+	}
+	return false
 }

@@ -81,3 +81,28 @@ func TestParseSpecFromContext(t *testing.T) {
 		t.Fatalf("context = %v", kws[0].Meta.Context)
 	}
 }
+
+// TestKeywordValidate pins the metadata a keyword may carry into SQL:
+// ParseSpec's operators and upper-case aggregates pass, and anything else
+// (SQL text, a lower-case aggregate, an operator the spec form lacks) is
+// rejected before it reaches the mapper.
+func TestKeywordValidate(t *testing.T) {
+	for _, meta := range []Metadata{
+		{},
+		{Op: "="}, {Op: "!="}, {Op: "<"}, {Op: "<="}, {Op: ">"}, {Op: ">="},
+		{Aggs: []string{"COUNT"}}, {Aggs: []string{"MAX"}, GroupBy: true},
+	} {
+		if err := (Keyword{Text: "x", Meta: meta}).Validate(); err != nil {
+			t.Errorf("%+v: %v", meta, err)
+		}
+	}
+	for _, meta := range []Metadata{
+		{Op: "; DROP TABLE u; --"}, {Op: "<>"}, {Op: "LIKE"}, {Op: "=="},
+		{Aggs: []string{"x) FROM t; DROP TABLE u; --"}}, {Aggs: []string{"count"}},
+		{Aggs: []string{"COUNT", "BOGUS"}}, {Aggs: []string{""}},
+	} {
+		if err := (Keyword{Text: "x", Meta: meta}).Validate(); err == nil {
+			t.Errorf("%+v: Validate accepted it", meta)
+		}
+	}
+}

@@ -129,6 +129,79 @@ func (s *topkSel) take() []Configuration {
 	return configs
 }
 
+// prune implements the PRUNE procedure of §V-B over scored candidates in
+// their retrieval order: candidates at or above the exact-match threshold
+// 1−ε expel all others; otherwise the κ best are kept, plus the κ-th
+// place's ties when that σ is positive, and then zero-similarity ones are
+// dropped unless nothing else is left (trimZero). The kept candidates come
+// out by σ descending, ties in retrieval order — exactly the prefix a
+// stable sort of the whole slice followed by the cut would keep — but no
+// sort runs: a bounded insertion keeps the selection in a prefix of cands
+// itself, so the pooled buffer is the only storage. Similarities are never
+// NaN (embedding.Model scores lie in [0, 1]), so σ is totally ordered.
+func prune(cands []Mapping, k int, eps float64) []Mapping {
+	if len(cands) == 0 {
+		return nil
+	}
+	exact := false
+	for i := range cands {
+		if cands[i].Sim >= 1-eps {
+			exact = true
+			break
+		}
+	}
+	n := 0 // cands[:n] is the selection so far, in final order
+	for _, c := range cands {
+		switch {
+		case exact:
+			if c.Sim < 1-eps {
+				continue
+			}
+		case n >= k:
+			// Below the κ-th σ, or tied with it where ties are not kept:
+			// a later candidate never displaces an equal earlier one.
+			if cut := cands[k-1].Sim; c.Sim < cut || c.Sim == cut && cut <= 0 {
+				continue
+			}
+		}
+		// Insert after every kept candidate with σ ≥ c.Sim. cands[n] is
+		// free: it is c itself or a candidate already passed over.
+		j := n
+		for j > 0 && cands[j-1].Sim < c.Sim {
+			cands[j] = cands[j-1]
+			j--
+		}
+		cands[j] = c
+		n++
+		// The tail past κ holds ties of the old κ-th σ; they stay only
+		// while that σ is still the κ-th.
+		if !exact && n > k && cands[k].Sim < cands[k-1].Sim {
+			n = k
+		}
+	}
+	if exact {
+		return cands[:n]
+	}
+	return trimZero(cands[:n])
+}
+
+// trimZero drops zero-similarity candidates unless everything is zero.
+// The filter runs in place (candidates are pooled scratch, never aliased
+// by a caller), writing each kept element at or before its original
+// position.
+func trimZero(ms []Mapping) []Mapping {
+	nz := ms[:0]
+	for _, c := range ms {
+		if c.Sim > 0 {
+			nz = append(nz, c)
+		}
+	}
+	if len(nz) == 0 {
+		return ms
+	}
+	return nz
+}
+
 // mapScratch is the per-request working state of MapKeywordsCtx, pooled so
 // the serving hot path stops paying one allocation storm per call: candidate
 // buffers, the per-keyword pruned views, interned-ID rows, the enumeration's

@@ -449,3 +449,36 @@ func TestNewSystemMatchesNewFromParts(t *testing.T) {
 		}
 	}
 }
+
+// TestTranslateRefusesUnparseableSQL: metadata a library caller passes
+// unchecked, or a number the SQL parser cannot read back, must fail the
+// translation rather than be spliced into served SQL text.
+func TestTranslateRefusesUnparseableSQL(t *testing.T) {
+	d := exampleDB(t)
+	sys := pipelinePlus(d, exampleQFG(t))
+	for name, kws := range map[string][]keyword.Keyword{
+		"injected agg": {{Text: "papers", Meta: keyword.Metadata{Context: fragment.Select, Aggs: []string{"x) FROM t; DROP TABLE u; --"}}}},
+		"injected op": {
+			{Text: "papers", Meta: keyword.Metadata{Context: fragment.Select}},
+			{Text: "after 2000", Meta: keyword.Metadata{Context: fragment.Where, Op: "> 0; DROP TABLE u; --"}},
+		},
+		"inf": {
+			{Text: "papers", Meta: keyword.Metadata{Context: fragment.Select}},
+			{Text: "inf", Meta: keyword.Metadata{Context: fragment.Where, Op: "<"}},
+		},
+		"nan": {
+			{Text: "papers", Meta: keyword.Metadata{Context: fragment.Select}},
+			{Text: "nan", Meta: keyword.Metadata{Context: fragment.Where, Op: "!="}},
+		},
+	} {
+		tr, err := sys.Translate("", false, kws)
+		if err == nil {
+			t.Fatalf("%s: translated to %q", name, tr.Rendered)
+		}
+		// An operator the numeric index does not know matches no
+		// attribute, so that keyword fails in the mapper instead.
+		if name != "injected op" && !strings.Contains(err.Error(), "generated unparseable SQL") {
+			t.Fatalf("%s: error %v, want the unparseable-SQL guard", name, err)
+		}
+	}
+}

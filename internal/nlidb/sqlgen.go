@@ -12,7 +12,13 @@
 //
 // The NLIDB owns final SQL construction (paper §III-E): BuildSQL assembles a
 // complete SELECT statement from a keyword-mapping configuration and an
-// inferred join path, including aliasing for self-joins.
+// inferred join path, including aliasing for self-joins. Translate compares
+// the built queries by their canonical form, computed on the AST itself
+// once sqlparse.Query.Validate has checked that the parser would read the
+// query's SQL text back; SQL text is rendered once, for the winner. The
+// tests hold that canonical form to the print-parse-resolve round trip on
+// every (configuration, path) pair of the paper systems and, by fuzzing,
+// on every parseable query and on ASTs built directly.
 package nlidb
 
 import (
@@ -164,12 +170,25 @@ func BuildSQL(cfg keyword.Configuration, path joinpath.Path) (*sqlparse.Query, e
 	return q, nil
 }
 
-// canonicalSQL resolves aliases and canonicalizes for comparison.
+// canonicalSQL renders the comparison form of a query BuildSQL assembled:
+// aliases resolved to relation names, FROM and WHERE sorted (see
+// sqlparse.Query.Canonical). It rejects a query whose SQL text the parser
+// would not read back (sqlparse.Query.Validate) — an aggregate, operator
+// or number that came from a caller's keyword metadata unchecked — so no
+// such text is served. Otherwise it works on the AST directly — resolving
+// a shallow copy, so q keeps its aliases for rendering — which gives the
+// same string as printing q, parsing the text back and canonicalizing
+// that (TestCanonicalSQLMatchesRoundTrip and the FuzzCanonicalSQL targets
+// hold it to the round trip).
 func canonicalSQL(q *sqlparse.Query) (string, error) {
-	cp, err := sqlparse.Parse(q.String())
-	if err != nil {
+	if err := q.Validate(); err != nil {
 		return "", err
 	}
+	cp := *q
+	cp.Select = append([]sqlparse.SelectItem(nil), q.Select...)
+	cp.Where = append([]sqlparse.Condition(nil), q.Where...)
+	cp.GroupBy = append([]sqlparse.ColumnRef(nil), q.GroupBy...)
+	cp.OrderBy = append([]sqlparse.OrderItem(nil), q.OrderBy...)
 	if err := cp.Resolve(nil); err != nil {
 		return "", err
 	}

@@ -124,23 +124,7 @@ func (s *System) TranslateCtx(ctx context.Context, nlq string, hazard bool, kws 
 	if s.noise != nil {
 		kws = s.noise.Corrupt(nlq, hazard, kws)
 	}
-	topConfigs := defaultTopConfigs
-	if co.TopConfigs > 0 {
-		topConfigs = co.TopConfigs
-	}
-	topPaths := defaultTopPaths
-	if co.TopPaths > 0 {
-		topPaths = co.TopPaths
-	}
-	// Only the best topConfigs configurations are ever tried for SQL
-	// construction, so tell the mapper: it then runs a bounded top-k
-	// selection over the enumeration (identical results to sorting the
-	// whole product and slicing) instead of materializing all of it.
-	kco := co.Keyword
-	if kco.TopK <= 0 || kco.TopK > topConfigs {
-		kco.TopK = topConfigs
-	}
-	configs, err := s.mapper.MapKeywordsCtx(ctx, kws, kco)
+	cands, err := s.candidates(ctx, kws, co)
 	if err != nil {
 		return nil, err
 	}
@@ -150,34 +134,9 @@ func (s *System) TranslateCtx(ctx context.Context, nlq string, hazard bool, kws 
 	// join-path goodness breaks ties. SQL construction never promotes a
 	// lower-ranked configuration over a higher one — which also means
 	// ranking needs only the two scores. SQL is therefore built lazily:
-	// candidates are ranked score-first, and the expensive
-	// construct→render→canonicalize chain runs only for the winner (and,
-	// for tie detection, its exact rank peers) instead of every
-	// (configuration, path) pair.
-	type candidate struct {
-		cfg      keyword.Configuration
-		path     joinpath.Path
-		cfgScore float64
-		goodness float64
-		dead     bool // BuildSQL failed: path does not cover the bag
-	}
-	var cands []candidate
-	for _, cfg := range configs {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("nlidb: translation canceled: %w", err)
-		}
-		bag := RelationBag(cfg)
-		paths, err := s.joins.InferCtx(ctx, bag, topPaths)
-		if err != nil {
-			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-				return nil, err // canceled mid-search, not an infeasible bag
-			}
-			continue // disconnected bag: this configuration is infeasible
-		}
-		for _, p := range paths {
-			cands = append(cands, candidate{cfg: cfg, path: p, cfgScore: cfg.Score, goodness: p.Goodness})
-		}
-	}
+	// candidates are ranked score-first, and the construct→canonicalize
+	// chain runs only for the winner (and, for tie detection, its exact
+	// rank peers) instead of every (configuration, path) pair.
 	better := func(a, b candidate) bool {
 		if math.Abs(a.cfgScore-b.cfgScore) > 1e-12 {
 			return a.cfgScore > b.cfgScore
@@ -252,6 +211,61 @@ func (s *System) TranslateCtx(ctx context.Context, nlq string, hazard bool, kws 
 		}
 	}
 	return &tr, nil
+}
+
+// candidate is one (configuration, join path) pair of a translation,
+// ranked by its two scores alone.
+type candidate struct {
+	cfg      keyword.Configuration
+	path     joinpath.Path
+	cfgScore float64
+	goodness float64
+	dead     bool // BuildSQL failed: path does not cover the bag
+}
+
+// candidates maps kws and infers up to topPaths join paths for each of
+// the best topConfigs configurations, returning every (configuration,
+// path) pair in configuration-then-path order. A configuration whose bag
+// is disconnected contributes nothing.
+func (s *System) candidates(ctx context.Context, kws []keyword.Keyword, co CallOptions) ([]candidate, error) {
+	topConfigs := defaultTopConfigs
+	if co.TopConfigs > 0 {
+		topConfigs = co.TopConfigs
+	}
+	topPaths := defaultTopPaths
+	if co.TopPaths > 0 {
+		topPaths = co.TopPaths
+	}
+	// Only the best topConfigs configurations are ever tried for SQL
+	// construction, so tell the mapper: it then runs a bounded top-k
+	// selection over the enumeration (identical results to sorting the
+	// whole product and slicing) instead of materializing all of it.
+	kco := co.Keyword
+	if kco.TopK <= 0 || kco.TopK > topConfigs {
+		kco.TopK = topConfigs
+	}
+	configs, err := s.mapper.MapKeywordsCtx(ctx, kws, kco)
+	if err != nil {
+		return nil, err
+	}
+	var cands []candidate
+	for _, cfg := range configs {
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("nlidb: translation canceled: %w", err)
+		}
+		bag := RelationBag(cfg)
+		paths, err := s.joins.InferCtx(ctx, bag, topPaths)
+		if err != nil {
+			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+				return nil, err // canceled mid-search, not an infeasible bag
+			}
+			continue // disconnected bag: this configuration is infeasible
+		}
+		for _, p := range paths {
+			cands = append(cands, candidate{cfg: cfg, path: p, cfgScore: cfg.Score, goodness: p.Goodness})
+		}
+	}
+	return cands, nil
 }
 
 // TopMappings exposes the mapper's ranked configurations without SQL

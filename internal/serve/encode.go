@@ -58,6 +58,10 @@ func decodeKeywords(in api.KeywordsInput) ([]keyword.Keyword, *api.Error) {
 			kw.Meta.Aggs = []string{strings.ToUpper(kj.Agg)}
 		}
 		kw.Meta.GroupBy = kj.GroupBy
+		if err := kw.Validate(); err != nil {
+			return nil, api.Errorf(http.StatusUnprocessableEntity, api.CodeValidation,
+				"serve: keyword %d: %v", i, err)
+		}
 		out[i] = kw
 	}
 	return out, nil

@@ -254,6 +254,58 @@ func TestV2TranslatePerItemErrors(t *testing.T) {
 	}
 }
 
+// TestKeywordMetadataValidated: a JSON keyword's op and agg are copied
+// into the SQL the mapper helps build, so anything but ParseSpec's
+// operators and aggregates is a validation error at the boundary — never
+// SQL text carrying it. A keyword whose number the parser cannot read
+// back (inf, nan) fails its item instead of serving that text.
+func TestKeywordMetadataValidated(t *testing.T) {
+	ts := newTestServer(t)
+	const injected = "x) from t; drop table u; --"
+	badAgg := api.KeywordsInput{Keywords: []api.Keyword{{Text: "papers", Context: "select", Agg: injected}}}
+	badOp := api.KeywordsInput{Keywords: []api.Keyword{
+		{Text: "papers", Context: "select"},
+		{Text: "after 2000", Context: "where", Op: "> 0 OR 1 ="},
+	}}
+	for name, in := range map[string]api.KeywordsInput{"bad agg": badAgg, "bad op": badOp} {
+		status, hdr, raw := postRaw(t, ts.URL+"/v2/mas/map-keywords", api.MapKeywordsRequest{KeywordsInput: in})
+		wantProblem(t, status, hdr, raw, http.StatusUnprocessableEntity, api.CodeValidation)
+		var legacy V1Error
+		if s := postJSON(t, ts.URL+"/v1/map-keywords", V1MapKeywordsRequest{KeywordsInput: in}, &legacy); s != http.StatusBadRequest || legacy.Error == "" {
+			t.Fatalf("%s: v1 status %d, error %q", name, s, legacy.Error)
+		}
+	}
+
+	var resp api.TranslateResponse
+	if s := postJSON(t, ts.URL+"/v2/mas/translate", api.TranslateRequest{Queries: []api.KeywordsInput{
+		badAgg,
+		badOp,
+		{Spec: "papers:select;inf:where:<"},
+		{Spec: "papers:select;nan:where:!="},
+		{Keywords: []api.Keyword{{Text: "papers", Context: "select", Agg: "count"}}},
+	}}, &resp); s != http.StatusOK {
+		t.Fatalf("status = %d", s)
+	}
+	if len(resp.Results) != 5 {
+		t.Fatalf("got %d results", len(resp.Results))
+	}
+	for i, wantCode := range []string{api.CodeValidation, api.CodeValidation, api.CodeUnprocessable, api.CodeUnprocessable} {
+		r := resp.Results[i]
+		if r.Error == nil || r.SQL != "" || r.Rendered != "" {
+			t.Fatalf("result %d should carry only an error: %+v", i, r)
+		}
+		if r.Error.Code != wantCode {
+			t.Fatalf("result %d code = %q, want %q (%s)", i, r.Error.Code, wantCode, r.Error.Detail)
+		}
+		if i >= 2 && !strings.Contains(r.Error.Detail, "generated unparseable SQL") {
+			t.Fatalf("result %d detail = %q, want the unparseable-SQL guard", i, r.Error.Detail)
+		}
+	}
+	if r := resp.Results[4]; r.Error != nil || !strings.HasPrefix(r.SQL, "SELECT COUNT(") {
+		t.Fatalf("lower-case agg should be accepted and upper-cased: %+v", r)
+	}
+}
+
 // TestV2Datasets covers the public discovery endpoint.
 func TestV2Datasets(t *testing.T) {
 	ts := multiTenantServer(t, nil)

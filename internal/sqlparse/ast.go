@@ -237,11 +237,13 @@ func (q *Query) String() string {
 }
 
 // aliasMap returns alias -> relation name for the FROM list. Unaliased tables
-// map their own name to themselves.
+// map their own name to themselves. A table aliased to its own name counts
+// as unaliased, as String renders it, so a query resolves the same before
+// and after a print-and-parse round trip.
 func (q *Query) aliasMap() map[string]string {
 	m := make(map[string]string, len(q.From))
 	for _, t := range q.From {
-		if t.Alias != "" {
+		if t.Alias != "" && t.Alias != t.Name {
 			m[t.Alias] = t.Name
 		}
 		if _, exists := m[t.Name]; !exists {
