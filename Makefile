@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-json alloc-check fuzz fmt vet docs-check api-check wal-check repl-check serve soak golden golden-check tables-check counterfactual-check load-smoke overload-smoke
+.PHONY: all build test race bench bench-json alloc-check fuzz fmt vet docs-check api-check wal-check repl-check serve soak golden golden-check tables-check counterfactual-check examples-check load-smoke overload-smoke
 
 all: build vet test
 
@@ -124,6 +124,18 @@ golden-check:
 tables-check:
 	$(GO) run ./cmd/templar-eval -all > tables.txt
 	diff -u internal/eval/testdata/tables.txt tables.txt
+
+# examples-check runs each example whose output is deterministic and
+# diffs it against the committed examples/<name>/output.txt. The client,
+# durability and multitenant walkthroughs print loopback ports, temporary
+# paths or timings, so they are only built (see CI).
+examples-check:
+	@out=$$(mktemp) && trap 'rm -f "$$out"' EXIT && \
+	for ex in academic quickstart selfjoin yelp sessions; do \
+		$(GO) run ./examples/$$ex > "$$out" && \
+		diff -u examples/$$ex/output.txt "$$out" || \
+		{ echo "examples-check: examples/$$ex output differs from examples/$$ex/output.txt" >&2; exit 1; }; \
+	done && echo "examples-check: academic quickstart selfjoin yelp sessions match"
 
 # counterfactual-check guards the learning loop: the seeded feedback
 # replay must strictly improve obscured golden hit-rates on every

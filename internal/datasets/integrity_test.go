@@ -3,15 +3,20 @@ package datasets
 import (
 	"testing"
 
+	"templar/internal/embedding"
+	"templar/internal/fragment"
+	"templar/internal/keyword"
 	"templar/internal/sqlparse"
 	"templar/internal/stem"
 )
 
 // TestValueKeywordsMatchExactlyOneValue: every string-valued keyword in the
 // workloads must full-text match its gold attribute and score as an exact
-// match there, so candidate pruning is deterministic.
+// match there, so candidate pruning is deterministic: mapped alone in a
+// WHERE context, the keyword's candidates include its gold predicate.
 func TestValueKeywordsMatchExactlyOneValue(t *testing.T) {
 	for _, ds := range All() {
+		m := keyword.NewMapper(ds.DB, embedding.New(), nil, keyword.Options{})
 		for _, task := range ds.Tasks {
 			q := sqlparse.MustParse(task.Gold)
 			if err := q.Resolve(nil); err != nil {
@@ -22,16 +27,15 @@ func TestValueKeywordsMatchExactlyOneValue(t *testing.T) {
 				if !ok || p.Value.Kind != sqlparse.StringVal {
 					continue
 				}
-				matches := ds.DB.FindTextAttrs(p.Value.S)
+				cfgs, err := m.MapKeywords([]keyword.Keyword{{Text: p.Value.S, Meta: keyword.Metadata{Context: fragment.Where}}})
+				if err != nil {
+					t.Fatalf("%s: %v", task.ID, err)
+				}
 				foundExact := false
-				for _, m := range matches {
-					if m.Qualified() != p.Column.String() {
-						continue
-					}
-					for _, v := range m.Values {
-						if v == p.Value.S {
-							foundExact = true
-						}
+				for _, cfg := range cfgs {
+					mp := cfg.Mappings[0]
+					if mp.Qualified() == p.Column.String() && mp.Value.S == p.Value.S && mp.Sim == 1 {
+						foundExact = true
 					}
 				}
 				if !foundExact {

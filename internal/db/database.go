@@ -2,24 +2,14 @@ package db
 
 import (
 	"fmt"
-	"sort"
-	"sync"
 
 	"templar/internal/schema"
-	"templar/internal/stem"
 )
 
 // Database binds a schema graph to table storage.
 type Database struct {
 	graph  *schema.Graph
 	tables map[string]*Table
-
-	// keyCols memoizes keyColumns: the set depends only on the schema
-	// graph, which is fixed at construction, and IsKeyColumn sits on the
-	// keyword-mapping hot path where rebuilding the map per call dominated
-	// the allocation profile.
-	keyOnce sync.Once
-	keyCols map[string]bool
 }
 
 // New creates an empty database over a schema graph, with one table per
@@ -54,144 +44,4 @@ func (d *Database) MustInsert(rel string, row []Value) {
 	if err := d.Insert(rel, row); err != nil {
 		panic(err)
 	}
-}
-
-// TextMatch is one full-text hit: a qualified text attribute and the
-// distinct values matching all query tokens.
-type TextMatch struct {
-	Relation  string
-	Attribute string
-	Values    []string
-}
-
-// Qualified returns "relation.attribute".
-func (m TextMatch) Qualified() string { return m.Relation + "." + m.Attribute }
-
-// FindTextAttrs implements findTextAttrs from Algorithm 2: it stems every
-// whitespace-separated token of the keyword and runs a boolean-mode prefix
-// search over every text attribute, returning attributes with at least one
-// distinct value matching all tokens. skipTokens lists raw tokens to drop
-// from the search for a given attribute when they exactly match the stemmed
-// attribute or relation name (the "movie Saving Private Ryan" rule of §V-A);
-// pass nil to apply the rule automatically.
-func (d *Database) FindTextAttrs(keyword string) []TextMatch {
-	rawTokens := Tokenize(keyword)
-	if len(rawTokens) == 0 {
-		return nil
-	}
-	stems := make([]string, len(rawTokens))
-	for i, tok := range rawTokens {
-		stems[i] = stem.Stem(tok)
-	}
-	var out []TextMatch
-	for _, rn := range d.relationNames() {
-		t := d.tables[rn]
-		relStem := stem.Stem(rn)
-		for _, a := range t.rel.Attributes {
-			if a.Type != schema.Text {
-				continue
-			}
-			attrStem := stem.Stem(a.Name)
-			// Drop tokens that exactly match the stemmed attribute or
-			// relation name so they do not over-constrain the search.
-			query := stems[:0:0]
-			for _, s := range stems {
-				if s == relStem || s == attrStem {
-					continue
-				}
-				query = append(query, s)
-			}
-			if len(query) == 0 {
-				continue
-			}
-			vals := t.MatchAll(a.Name, query)
-			if len(vals) > 0 {
-				out = append(out, TextMatch{Relation: rn, Attribute: a.Name, Values: vals})
-			}
-		}
-	}
-	return out
-}
-
-// NumericMatch is a numeric attribute satisfying a probe predicate.
-type NumericMatch struct {
-	Relation  string
-	Attribute string
-}
-
-// Qualified returns "relation.attribute".
-func (m NumericMatch) Qualified() string { return m.Relation + "." + m.Attribute }
-
-// FindNumericAttrs implements findNumericAttrs from Algorithm 2: all numeric
-// attributes containing at least one value satisfying "attr op n". Primary
-// and foreign key columns are excluded — surrogate ids are never the target
-// of a user's numeric predicate, and the paper's candidate set is built from
-// value attributes.
-func (d *Database) FindNumericAttrs(n float64, op string) []NumericMatch {
-	if op == "" {
-		op = "="
-	}
-	keyCols := d.keyColumns()
-	var out []NumericMatch
-	for _, rn := range d.relationNames() {
-		t := d.tables[rn]
-		for _, a := range t.rel.Attributes {
-			if a.Type != schema.Number || keyCols[rn+"."+a.Name] {
-				continue
-			}
-			ok, err := t.AnyMatch(a.Name, op, Num(n))
-			if err == nil && ok {
-				out = append(out, NumericMatch{Relation: rn, Attribute: a.Name})
-			}
-		}
-	}
-	return out
-}
-
-// PredicateNonEmpty implements exec(c) ≠ ∅: whether "rel.attr op value"
-// selects at least one row.
-func (d *Database) PredicateNonEmpty(rel, attr, op string, value Value) bool {
-	t, ok := d.tables[rel]
-	if !ok {
-		return false
-	}
-	match, err := t.AnyMatch(attr, op, value)
-	return err == nil && match
-}
-
-// IsKeyColumn reports whether rel.attr participates in a primary key or an
-// FK-PK edge. Surrogate key columns are never sensible targets for keyword
-// mapping (users do not ask for ids), so the Keyword Mapper excludes them
-// from SELECT-context candidates, mirroring how FindNumericAttrs excludes
-// them from predicate candidates.
-func (d *Database) IsKeyColumn(rel, attr string) bool {
-	return d.keyColumns()[rel+"."+attr]
-}
-
-// keyColumns returns the set of "rel.attr" participating in primary keys or
-// FK-PK edges. Computed once; callers must not mutate the returned map.
-func (d *Database) keyColumns() map[string]bool {
-	d.keyOnce.Do(func() {
-		keys := make(map[string]bool)
-		for _, rn := range d.graph.Relations() {
-			rel, _ := d.graph.Relation(rn)
-			for _, a := range rel.Attributes {
-				if a.PrimaryKey {
-					keys[rn+"."+a.Name] = true
-				}
-			}
-		}
-		for _, fk := range d.graph.ForeignKeys() {
-			keys[fk.FromRel+"."+fk.FromAttr] = true
-			keys[fk.ToRel+"."+fk.ToAttr] = true
-		}
-		d.keyCols = keys
-	})
-	return d.keyCols
-}
-
-func (d *Database) relationNames() []string {
-	out := d.graph.Relations()
-	sort.Strings(out)
-	return out
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"templar/internal/schema"
+	"templar/internal/sqlparse"
 )
 
 // academicDB builds a small MAS-like database for testing.
@@ -66,114 +67,32 @@ func TestTokenize(t *testing.T) {
 	}
 }
 
-func TestFindTextAttrsBooleanMode(t *testing.T) {
-	d := academicDB(t)
-	// "relational databases" stems to [relat, databas]; only one title
-	// contains both prefixes.
-	matches := d.FindTextAttrs("relational databases")
-	if len(matches) != 1 {
-		t.Fatalf("matches = %v", matches)
-	}
-	m := matches[0]
-	if m.Qualified() != "publication.title" || len(m.Values) != 1 {
-		t.Fatalf("match = %+v", m)
-	}
-	// Single token matching multiple rows in the same attribute.
-	matches = d.FindTextAttrs("databases")
-	if len(matches) != 1 || len(matches[0].Values) != 2 {
-		t.Fatalf("matches = %+v", matches)
-	}
-}
-
-func TestFindTextAttrsDropsSchemaNameTokens(t *testing.T) {
-	d := academicDB(t)
-	// The token "journal" matches the relation name and is dropped when
-	// searching journal.name; "TKDE" alone then matches.
-	matches := d.FindTextAttrs("journal TKDE")
-	found := false
-	for _, m := range matches {
-		if m.Qualified() == "journal.name" {
-			found = true
-			if len(m.Values) != 1 || m.Values[0] != "TKDE" {
-				t.Fatalf("values = %v", m.Values)
-			}
-		}
-	}
-	if !found {
-		t.Fatalf("journal.name not matched: %v", matches)
-	}
-}
-
-func TestFindTextAttrsAllTokensSchemaNames(t *testing.T) {
-	d := academicDB(t)
-	// If every token matches the attribute/relation name the search is
-	// skipped for that attribute (would otherwise match everything).
-	for _, m := range d.FindTextAttrs("journal name") {
-		if m.Qualified() == "journal.name" {
-			t.Fatalf("empty-query attribute should be skipped, got %v", m)
-		}
-	}
-}
-
-func TestFindTextAttrsNoMatch(t *testing.T) {
-	d := academicDB(t)
-	if got := d.FindTextAttrs("zebra unicorn"); got != nil {
-		t.Fatalf("expected no matches, got %v", got)
-	}
-	if got := d.FindTextAttrs(""); got != nil {
-		t.Fatalf("expected no matches for empty keyword, got %v", got)
-	}
-}
-
-func TestFindNumericAttrs(t *testing.T) {
-	d := academicDB(t)
-	// year > 2000 matches publication.year (2001, 2005) but also
-	// citations? 35 and 70 are > 2000? No. So only year.
-	got := d.FindNumericAttrs(2000, ">")
-	if len(got) != 1 || got[0].Qualified() != "publication.year" {
-		t.Fatalf("FindNumericAttrs = %v", got)
-	}
-	// = 70 matches only citations (no year equals 70).
-	got = d.FindNumericAttrs(70, "=")
-	if len(got) != 1 || got[0].Qualified() != "publication.citations" {
-		t.Fatalf("FindNumericAttrs = %v", got)
-	}
-	// > 10 matches year and citations, but never id columns.
-	got = d.FindNumericAttrs(10, ">")
-	if len(got) != 2 {
-		t.Fatalf("FindNumericAttrs = %v", got)
-	}
-	for _, m := range got {
-		if m.Attribute == "jid" || m.Attribute == "pid" {
-			t.Fatalf("key column leaked: %v", m)
-		}
-	}
-}
-
-func TestFindNumericAttrsDefaultOp(t *testing.T) {
-	d := academicDB(t)
-	got := d.FindNumericAttrs(1998, "")
-	if len(got) != 1 || got[0].Qualified() != "publication.year" {
-		t.Fatalf("FindNumericAttrs eq = %v", got)
-	}
-}
-
+// TestPredicateNonEmpty: the executor answers exec(c) ≠ ∅ for a
+// candidate predicate c, the probe of SCOREANDPRUNE (§V-B), and rejects
+// predicates over unknown relations or columns.
 func TestPredicateNonEmpty(t *testing.T) {
 	d := academicDB(t)
-	if !d.PredicateNonEmpty("publication", "year", ">", Num(2000)) {
-		t.Fatal("year > 2000 should be non-empty")
+	exec := func(src string) (int, error) {
+		res, err := d.Execute(sqlparse.MustParse(src))
+		if err != nil {
+			return 0, err
+		}
+		return len(res.Rows), nil
 	}
-	if d.PredicateNonEmpty("publication", "year", ">", Num(2010)) {
-		t.Fatal("year > 2010 should be empty")
+	if n, err := exec("SELECT p.year FROM publication p WHERE p.year > 2000"); err != nil || n == 0 {
+		t.Fatalf("year > 2000 should be non-empty: %d rows, %v", n, err)
 	}
-	if d.PredicateNonEmpty("nope", "year", ">", Num(0)) {
-		t.Fatal("unknown relation should be empty")
+	if n, err := exec("SELECT p.year FROM publication p WHERE p.year > 2010"); err != nil || n != 0 {
+		t.Fatalf("year > 2010 should be empty: %d rows, %v", n, err)
 	}
-	if d.PredicateNonEmpty("publication", "nope", ">", Num(0)) {
-		t.Fatal("unknown column should be empty")
+	if _, err := exec("SELECT n.year FROM nope n WHERE n.year > 0"); err == nil {
+		t.Fatal("unknown relation should be an error")
 	}
-	if !d.PredicateNonEmpty("journal", "name", "=", Str("TKDE")) {
-		t.Fatal("name = TKDE should be non-empty")
+	if _, err := exec("SELECT p.nope FROM publication p WHERE p.nope > 0"); err == nil {
+		t.Fatal("unknown column should be an error")
+	}
+	if n, err := exec("SELECT j.name FROM journal j WHERE j.name = 'TKDE'"); err != nil || n != 1 {
+		t.Fatalf("name = TKDE should select one row: %d rows, %v", n, err)
 	}
 }
 
@@ -220,5 +139,15 @@ func TestDistinctValues(t *testing.T) {
 	}
 	if d.Table("journal").DistinctValues("jid") != nil {
 		t.Fatal("numeric column should have no distinct text values")
+	}
+	// A repeated value is listed once, in sorted position.
+	d.MustInsert("journal", []Value{Num(3), Str("TKDE")})
+	d.MustInsert("journal", []Value{Num(4), Str("CACM")})
+	vals = d.Table("journal").DistinctValues("name")
+	if len(vals) != 3 || vals[0] != "CACM" || vals[1] != "TKDE" || vals[2] != "TMC" {
+		t.Fatalf("DistinctValues after duplicate insert = %v", vals)
+	}
+	if d.Table("journal").DistinctValues("nope") != nil {
+		t.Fatal("unknown column should have no distinct values")
 	}
 }

@@ -65,66 +65,3 @@ func TestExecuteJoinMatchesBruteForce(t *testing.T) {
 		t.Fatalf("join: executor %d, brute force %d", len(res.Rows), want)
 	}
 }
-
-// TestFindNumericAttrsConsistentWithPredicateNonEmpty: every attribute
-// returned by FindNumericAttrs must satisfy PredicateNonEmpty, and every
-// non-key numeric attribute satisfying it must be returned.
-func TestFindNumericAttrsConsistentWithPredicateNonEmpty(t *testing.T) {
-	d := academicDB(t)
-	for _, tc := range []struct {
-		n  float64
-		op string
-	}{{2000, ">"}, {35, "="}, {1998, "<="}, {100, "<"}} {
-		got := make(map[string]bool)
-		for _, m := range d.FindNumericAttrs(tc.n, tc.op) {
-			got[m.Qualified()] = true
-			if !d.PredicateNonEmpty(m.Relation, m.Attribute, tc.op, Num(tc.n)) {
-				t.Errorf("%s %s %g: returned but empty", m.Qualified(), tc.op, tc.n)
-			}
-		}
-		for _, q := range d.Schema().NumericAttributes() {
-			rel, attr := splitQ(t, q)
-			if d.IsKeyColumn(rel, attr) {
-				continue
-			}
-			if d.PredicateNonEmpty(rel, attr, tc.op, Num(tc.n)) && !got[q] {
-				t.Errorf("%s %s %g: satisfiable but not returned", q, tc.op, tc.n)
-			}
-		}
-	}
-}
-
-func splitQ(t *testing.T, q string) (string, string) {
-	t.Helper()
-	for i := 0; i < len(q); i++ {
-		if q[i] == '.' {
-			return q[:i], q[i+1:]
-		}
-	}
-	t.Fatalf("malformed %q", q)
-	return "", ""
-}
-
-// TestFullTextPrefixSemantics: boolean-mode matching requires EVERY query
-// stem to prefix-match some token of the value.
-func TestFullTextPrefixSemantics(t *testing.T) {
-	d := academicDB(t)
-	tab := d.Table("publication")
-	// "efficient quer" -> stems [effici, quer]; only one title has both.
-	vals := tab.MatchAll("title", []string{"effici", "quer"})
-	if len(vals) != 1 {
-		t.Fatalf("MatchAll = %v", vals)
-	}
-	// A stem matching nothing empties the result.
-	if got := tab.MatchAll("title", []string{"effici", "zzz"}); got != nil {
-		t.Fatalf("MatchAll = %v", got)
-	}
-	// Empty query matches nothing (never everything).
-	if got := tab.MatchAll("title", nil); got != nil {
-		t.Fatalf("MatchAll(nil) = %v", got)
-	}
-	// Unknown column.
-	if got := tab.MatchAll("nope", []string{"x"}); got != nil {
-		t.Fatalf("MatchAll unknown column = %v", got)
-	}
-}

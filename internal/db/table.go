@@ -2,40 +2,23 @@ package db
 
 import (
 	"fmt"
-	"sort"
-	"strings"
+	"slices"
 
 	"templar/internal/schema"
-	"templar/internal/stem"
 )
 
-// Table holds the rows of one relation together with its full-text and
-// distinct-value indexes.
+// Table holds the rows of one relation.
 type Table struct {
 	rel    schema.Relation
 	colIdx map[string]int
 	rows   [][]Value
-	// fulltext maps column index -> stemmed token -> set of distinct values
-	// (by row value, not row id: DISTINCT(?attr) semantics from §V-A).
-	fulltext map[int]map[string]map[string]bool
-	// distinct maps column index -> distinct value set, for exact lookups.
-	distinct map[int]map[string]bool
 }
 
 // newTable builds an empty table for a relation definition.
 func newTable(rel schema.Relation) *Table {
-	t := &Table{
-		rel:      rel,
-		colIdx:   make(map[string]int, len(rel.Attributes)),
-		fulltext: make(map[int]map[string]map[string]bool),
-		distinct: make(map[int]map[string]bool),
-	}
+	t := &Table{rel: rel, colIdx: make(map[string]int, len(rel.Attributes))}
 	for i, a := range rel.Attributes {
 		t.colIdx[a.Name] = i
-		if a.Type == schema.Text {
-			t.fulltext[i] = make(map[string]map[string]bool)
-			t.distinct[i] = make(map[string]bool)
-		}
 	}
 	return t
 }
@@ -59,21 +42,6 @@ func (t *Table) Insert(row []Value) error {
 		}
 	}
 	t.rows = append(t.rows, append([]Value(nil), row...))
-	for ci, idx := range t.fulltext {
-		val := row[ci].S
-		if !t.distinct[ci][val] {
-			t.distinct[ci][val] = true
-		}
-		for _, tok := range Tokenize(val) {
-			s := stem.Stem(tok)
-			set := idx[s]
-			if set == nil {
-				set = make(map[string]bool)
-				idx[s] = set
-			}
-			set[val] = true
-		}
-	}
 	return nil
 }
 
@@ -102,94 +70,24 @@ func Tokenize(s string) []string {
 	return out
 }
 
-// MatchAll returns the distinct values of the given column that contain, for
-// every query stem, at least one indexed token whose stem has the query stem
-// as a prefix — boolean-mode "+tok*" AND semantics.
-func (t *Table) MatchAll(column string, queryStems []string) []string {
-	ci, ok := t.colIdx[column]
-	if !ok {
-		return nil
-	}
-	idx, ok := t.fulltext[ci]
-	if !ok || len(queryStems) == 0 {
-		return nil
-	}
-	var result map[string]bool
-	for _, qs := range queryStems {
-		matched := make(map[string]bool)
-		for tok, vals := range idx {
-			if strings.HasPrefix(tok, qs) {
-				for v := range vals {
-					matched[v] = true
-				}
-			}
-		}
-		if result == nil {
-			result = matched
-		} else {
-			for v := range result {
-				if !matched[v] {
-					delete(result, v)
-				}
-			}
-		}
-		if len(result) == 0 {
-			return nil
-		}
-	}
-	out := make([]string, 0, len(result))
-	for v := range result {
-		out = append(out, v)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// AnyMatch reports whether any row satisfies "column op value". It is the
-// exec(c) ≠ ∅ probe from SCOREANDPRUNE.
-func (t *Table) AnyMatch(column, op string, value Value) (bool, error) {
-	ci, ok := t.colIdx[column]
-	if !ok {
-		return false, fmt.Errorf("db: %s: unknown column %q", t.rel.Name, column)
-	}
-	for _, row := range t.rows {
-		ok, err := row[ci].Compare(op, value)
-		if err != nil {
-			return false, err
-		}
-		if ok {
-			return true, nil
-		}
-	}
-	return false, nil
-}
-
-// DistinctValues returns the sorted distinct values of a text column.
+// DistinctValues returns the sorted distinct values of a text column, or
+// nil for a numeric or unknown column.
 func (t *Table) DistinctValues(column string) []string {
 	ci, ok := t.colIdx[column]
-	if !ok {
+	if !ok || t.rel.Attributes[ci].Type != schema.Text {
 		return nil
 	}
-	set, ok := t.distinct[ci]
-	if !ok {
-		return nil
+	out := make([]string, len(t.rows))
+	for i, row := range t.rows {
+		out[i] = row[ci].S
 	}
-	out := make([]string, 0, len(set))
-	for v := range set {
-		out = append(out, v)
-	}
-	sort.Strings(out)
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
-// Rows returns a copy of all rows (for the executor and tests).
-func (t *Table) Rows() [][]Value {
-	out := make([][]Value, len(t.rows))
-	for i, r := range t.rows {
-		out[i] = append([]Value(nil), r...)
-	}
-	return out
-}
+// Rows returns the table's rows. They are shared with the table: callers
+// must not modify them.
+func (t *Table) Rows() [][]Value { return t.rows }
 
 // ColumnIndex returns the position of a column, or -1.
 func (t *Table) ColumnIndex(column string) int {

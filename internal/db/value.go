@@ -1,15 +1,15 @@
-// Package db implements the in-memory relational database engine that
-// Templar's Keyword Mapper probes. It replaces the MySQL 5.7 instance used in
-// the paper's evaluation, reproducing the two capabilities Algorithms 2–3
-// rely on:
+// Package db implements the in-memory relational database that replaces the
+// MySQL 5.7 instance of the paper's evaluation: typed table storage per
+// schema relation and a small executor for single-block SELECT queries, so
+// examples and the evaluation can run queries against real rows.
 //
-//   - boolean-mode full-text search over Porter-stemmed tokens
-//     (MATCH(attr) AGAINST('+tok1* +tok2*' IN BOOLEAN MODE), §V-A), and
-//   - predicate probing: testing whether a candidate numeric predicate
-//     selects a non-empty row set (exec(c) in SCOREANDPRUNE, §V-B).
-//
-// The engine also includes a small executor for single-block SELECT queries
-// so examples can run end-to-end against real rows.
+// The database stores rows and nothing else. Algorithm 2's probes —
+// boolean-mode full-text search over Porter-stemmed tokens (MATCH(attr)
+// AGAINST('+tok1* +tok2*' IN BOOLEAN MODE), §V-A) and the numeric
+// exec(c) ≠ ∅ test of SCOREANDPRUNE (§V-B) — are answered by the keyword
+// mapper's candidate index (internal/keyword), which is built once from
+// these rows; the plain reference the index is tested against lives in
+// that package's tests.
 package db
 
 import (

@@ -19,7 +19,6 @@ package embedding
 
 import (
 	"math"
-	"sort"
 	"strings"
 
 	"templar/internal/stem"
@@ -56,11 +55,6 @@ func New() *Model {
 		m.AddSynonym(s.a, s.b, s.sim)
 	}
 	return m
-}
-
-// NewEmpty returns a model with no lexicon entries (pure trigram vectors).
-func NewEmpty() *Model {
-	return &Model{lex: make(map[pairKey]float64)}
 }
 
 // NewLexiconOnly returns a model preloaded with the base lexicon but with
@@ -221,25 +215,6 @@ func normalizedCosine(a, b [dim]float64) float64 {
 		cos = 0
 	}
 	return cos
-}
-
-// LexiconSize returns the number of synonym entries, for diagnostics.
-func (m *Model) LexiconSize() int { return len(m.lex) }
-
-// Entries returns the lexicon as sorted "a~b=sim" strings, for diagnostics.
-func (m *Model) Entries() []string {
-	out := make([]string, 0, len(m.lex))
-	for k, v := range m.lex {
-		out = append(out, k.a+"~"+k.b+"="+formatSim(v))
-	}
-	sort.Strings(out)
-	return out
-}
-
-func formatSim(v float64) string {
-	// Two decimal places without pulling in strconv formatting subtleties.
-	n := int(v*100 + 0.5)
-	return string([]byte{'0' + byte(n/100), '.', '0' + byte(n/10%10), '0' + byte(n%10)})
 }
 
 // lexEntry is one curated synonym pair.

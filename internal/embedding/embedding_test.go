@@ -85,7 +85,7 @@ func TestPhraseAlignment(t *testing.T) {
 }
 
 func TestMorphologicalSimilarityViaTrigrams(t *testing.T) {
-	m := NewEmpty()
+	m := newEmpty()
 	related := m.TokenSimilarity("directing", "directs")
 	unrelated := m.TokenSimilarity("directing", "pizza")
 	if related <= unrelated {
@@ -94,7 +94,7 @@ func TestMorphologicalSimilarityViaTrigrams(t *testing.T) {
 }
 
 func TestAddSynonymOverridesAndClamps(t *testing.T) {
-	m := NewEmpty()
+	m := newEmpty()
 	m.AddSynonym("foo", "bar", 0.3)
 	if s := m.TokenSimilarity("foo", "bar"); s != 0.3 {
 		t.Fatalf("synonym = %v", s)
@@ -118,7 +118,7 @@ func TestAddSynonymOverridesAndClamps(t *testing.T) {
 }
 
 func TestSynonymsAreStemmed(t *testing.T) {
-	m := NewEmpty()
+	m := newEmpty()
 	m.AddSynonym("papers", "journals", 0.8)
 	if s := m.TokenSimilarity("paper", "journal"); s != 0.8 {
 		t.Fatalf("stemmed synonym lookup = %v", s)
@@ -138,21 +138,22 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
+// TestLexiconDiagnostics: New loads the curated lexicon, stored once per
+// unordered stem pair, so every entry scores the same in both orders.
 func TestLexiconDiagnostics(t *testing.T) {
 	m := New()
-	if m.LexiconSize() == 0 {
+	if len(m.lex) == 0 {
 		t.Fatal("base lexicon empty")
 	}
-	entries := m.Entries()
-	if len(entries) != m.LexiconSize() {
-		t.Fatalf("Entries = %d, size = %d", len(entries), m.LexiconSize())
-	}
-	for i := 1; i < len(entries); i++ {
-		if entries[i] < entries[i-1] {
-			t.Fatal("Entries not sorted")
+	for _, e := range baseLexicon {
+		if ab, ba := m.TokenSimilarity(e.a, e.b), m.TokenSimilarity(e.b, e.a); ab != ba || ab == 0 {
+			t.Fatalf("%s~%s scores %v forward, %v reversed", e.a, e.b, ab, ba)
 		}
 	}
 }
+
+// newEmpty returns a model with no lexicon entries (pure trigram vectors).
+func newEmpty() *Model { return &Model{lex: make(map[pairKey]float64)} }
 
 func TestSnakeCaseSplitting(t *testing.T) {
 	m := New()

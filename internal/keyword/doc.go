@@ -19,10 +19,12 @@
 // inverted index over schema names and column values precomputed at
 // construction, embedding similarities are memoized in a bounded sharded
 // cache, and QFG scoring probes an immutable interned-ID snapshot with
-// zero locking. There is one retrieval path and one scoring path; the
-// package tests pin them to the references they replace — db's
-// FindTextAttrs/FindNumericAttrs probes and Dice, Occurrences and Queries
-// recomputed from plain fragment-keyed counts of the log.
+// zero locking. There is one retrieval path and one scoring path. The
+// candidate index is the only implementation of Algorithm 2's probes
+// (findTextAttrs, findNumericAttrs); the database stores rows only. The
+// package tests pin both paths to plain references kept in the tests —
+// the probes answered by scanning the rows, and Dice, Occurrences and
+// Queries recomputed from fragment-keyed counts of the log.
 //
 // Nothing on a miss sorts more than it keeps. A full-text probe merges the
 // sorted posting lists of the index (a union per query stem, intersected

@@ -1,6 +1,7 @@
 package keyword
 
 import (
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -10,18 +11,19 @@ import (
 	"templar/internal/stem"
 )
 
-// candidateIndex precomputes, at NewMapper time, everything keywordCands
-// otherwise re-derives from the database on every call: the FROM-context
-// relation list, the SELECT-context non-key attribute list, a per-attribute
-// inverted text index (sorted stemmed tokens with value postings, replacing
-// the full token-map scan in Table.MatchAll), and sorted distinct numeric
-// values per attribute (replacing the full row scan in Table.AnyMatch).
+// candidateIndex is the one implementation of Algorithm 2's candidate
+// retrieval (§V-A): the FROM-context relation list, the SELECT-context
+// non-key attribute list, findTextAttrs over a per-attribute inverted text
+// index (sorted stemmed tokens with value postings), and findNumericAttrs
+// over the sorted distinct values of every non-key numeric attribute. It
+// is built once, at NewMapper time, from the database's rows; the database
+// itself keeps no index.
 //
 // The index is immutable after construction and therefore safe for
-// concurrent use. Every probe returns exactly what the database's own
-// FindTextAttrs/FindNumericAttrs return, in the same order — relations
-// sorted for text/numeric probes, schema insertion order for FROM and
-// SELECT candidates (TestCandidateIndexMatchesDatabaseProbes pins this).
+// concurrent use. Text and numeric probes list attributes by sorted
+// relation name, then declaration order; FROM and SELECT candidates are in
+// schema insertion order. TestCandidateIndexMatchesDatabaseProbes holds
+// every probe to a plain scan of the rows.
 type candidateIndex struct {
 	// fromRels is the FROM-context candidate list (schema insertion order).
 	fromRels []string
@@ -36,17 +38,25 @@ type candidateIndex struct {
 	numAttrs []numAttrIndex
 }
 
-// relAttr is one (relation, attribute) pair.
+// relAttr is one (relation, attribute) pair; findNumericAttrs returns the
+// numeric attributes a probe predicate selects rows of as relAttrs.
 type relAttr struct {
 	rel, attr string
+}
+
+// textMatch is one full-text hit: a text attribute and its distinct values
+// that match every query stem.
+type textMatch struct {
+	relAttr
+	values []string
 }
 
 // textAttrIndex is the inverted full-text index of one text attribute:
 // the sorted stemmed token vocabulary with, per token, the sorted distinct
 // values containing it. Prefix queries become a binary search over tokens
-// instead of a scan of the whole token map.
+// instead of a scan of the whole vocabulary.
 type textAttrIndex struct {
-	rel, attr         string
+	relAttr
 	relStem, attrStem string
 	tokens            []string
 	postings          [][]string
@@ -56,64 +66,68 @@ type textAttrIndex struct {
 // so "does any row satisfy attr op n" is answered from the extremes and a
 // binary search rather than a row scan.
 type numAttrIndex struct {
-	rel, attr string
-	values    []float64
+	relAttr
+	values []float64
 }
 
 // buildCandidateIndex constructs the index from a populated database.
+// Primary-key columns and both ends of every FK-PK edge are key columns:
+// surrogate ids are never the target of a user's keyword, so they are
+// neither SELECT nor numeric-predicate candidates.
 func buildCandidateIndex(database *db.Database) *candidateIndex {
 	g := database.Schema()
+	keys := make(map[relAttr]bool)
+	for _, fk := range g.ForeignKeys() {
+		keys[relAttr{fk.FromRel, fk.FromAttr}] = true
+		keys[relAttr{fk.ToRel, fk.ToAttr}] = true
+	}
 	ci := &candidateIndex{fromRels: g.Relations()}
-
-	for _, q := range g.QualifiedAttributes() {
-		rel, attr, err := splitQualified(q)
-		if err != nil || database.IsKeyColumn(rel, attr) {
-			continue
+	for _, rn := range ci.fromRels {
+		rel, _ := g.Relation(rn)
+		for _, a := range rel.Attributes {
+			ra := relAttr{rn, a.Name}
+			if a.PrimaryKey {
+				keys[ra] = true
+			}
+			if !keys[ra] {
+				ci.selectAttrs = append(ci.selectAttrs, ra)
+			}
 		}
-		ci.selectAttrs = append(ci.selectAttrs, relAttr{rel, attr})
 	}
 
 	sortedRels := g.Relations()
 	sort.Strings(sortedRels)
 	for _, rn := range sortedRels {
-		rel, ok := g.Relation(rn)
-		if !ok {
-			continue
-		}
+		rel, _ := g.Relation(rn)
 		t := database.Table(rn)
 		relStem := stem.Stem(rn)
-		var rows [][]db.Value
-		for _, a := range rel.Attributes {
+		for col, a := range rel.Attributes {
+			ra := relAttr{rn, a.Name}
 			switch {
 			case a.Type == schema.Text:
-				ci.textAttrs = append(ci.textAttrs, buildTextIndex(t, rn, a.Name, relStem))
-			case a.Type == schema.Number && !database.IsKeyColumn(rn, a.Name):
-				if rows == nil {
-					rows = t.Rows()
-				}
-				ci.numAttrs = append(ci.numAttrs, buildNumIndex(t, rows, rn, a.Name))
+				ci.textAttrs = append(ci.textAttrs, buildTextIndex(t, ra, relStem))
+			case a.Type == schema.Number && !keys[ra]:
+				ci.numAttrs = append(ci.numAttrs, buildNumIndex(t.Rows(), col, ra))
 			}
 		}
 	}
 	return ci
 }
 
-// buildTextIndex reconstructs the per-attribute token→values mapping the
-// table builds at insert time, as sorted parallel slices.
-func buildTextIndex(t *db.Table, rel, attr, relStem string) textAttrIndex {
-	byToken := make(map[string]map[string]bool)
-	for _, v := range t.DistinctValues(attr) {
+// buildTextIndex maps every stemmed token of an attribute's distinct values
+// to the values containing it, as sorted parallel slices. The values come
+// sorted and distinct, so each posting list is built in order.
+func buildTextIndex(t *db.Table, ra relAttr, relStem string) textAttrIndex {
+	byToken := make(map[string][]string)
+	for _, v := range t.DistinctValues(ra.attr) {
 		for _, tok := range db.Tokenize(v) {
 			s := stem.Stem(tok)
-			set := byToken[s]
-			if set == nil {
-				set = make(map[string]bool)
-				byToken[s] = set
+			if vals := byToken[s]; len(vals) == 0 || vals[len(vals)-1] != v {
+				byToken[s] = append(vals, v)
 			}
-			set[v] = true
 		}
 	}
-	idx := textAttrIndex{rel: rel, attr: attr, relStem: relStem, attrStem: stem.Stem(attr)}
+	idx := textAttrIndex{relAttr: ra, relStem: relStem, attrStem: stem.Stem(ra.attr)}
 	idx.tokens = make([]string, 0, len(byToken))
 	for tok := range byToken {
 		idx.tokens = append(idx.tokens, tok)
@@ -121,35 +135,29 @@ func buildTextIndex(t *db.Table, rel, attr, relStem string) textAttrIndex {
 	sort.Strings(idx.tokens)
 	idx.postings = make([][]string, len(idx.tokens))
 	for i, tok := range idx.tokens {
-		vals := make([]string, 0, len(byToken[tok]))
-		for v := range byToken[tok] {
-			vals = append(vals, v)
-		}
-		sort.Strings(vals)
-		idx.postings[i] = vals
+		idx.postings[i] = byToken[tok]
 	}
 	return idx
 }
 
-// buildNumIndex collects the sorted distinct values of a numeric column.
-func buildNumIndex(t *db.Table, rows [][]db.Value, rel, attr string) numAttrIndex {
-	ci := t.ColumnIndex(attr)
-	seen := make(map[float64]bool)
-	var vals []float64
-	for _, row := range rows {
-		if n := row[ci].N; !seen[n] {
-			seen[n] = true
-			vals = append(vals, n)
-		}
+// buildNumIndex collects the sorted distinct values of column col.
+func buildNumIndex(rows [][]db.Value, col int, ra relAttr) numAttrIndex {
+	vals := make([]float64, len(rows))
+	for i, row := range rows {
+		vals[i] = row[col].N
 	}
-	sort.Float64s(vals)
-	return numAttrIndex{rel: rel, attr: attr, values: vals}
+	slices.Sort(vals)
+	return numAttrIndex{relAttr: ra, values: slices.Clone(slices.Compact(vals))}
 }
 
-// findTextAttrs is the indexed equivalent of db.Database.FindTextAttrs:
-// boolean-mode "+tok*" AND semantics over every text attribute, dropping
-// query stems that exactly match the stemmed relation or attribute name.
-func (ci *candidateIndex) findTextAttrs(keyword string) []db.TextMatch {
+// findTextAttrs is findTextAttrs of Algorithm 2: boolean-mode "+tok*" AND
+// semantics over every text attribute — each query stem must prefix some
+// stemmed token of a matching value — returning the attributes with at
+// least one matching distinct value. Query stems that exactly match the
+// stemmed relation or attribute name are dropped for that attribute so
+// they do not over-constrain the search (the "movie Saving Private Ryan"
+// rule of §V-A); an attribute left with no query stems is skipped.
+func (ci *candidateIndex) findTextAttrs(keyword string) []textMatch {
 	rawTokens := db.Tokenize(keyword)
 	if len(rawTokens) == 0 {
 		return nil
@@ -158,7 +166,7 @@ func (ci *candidateIndex) findTextAttrs(keyword string) []db.TextMatch {
 	for i, tok := range rawTokens {
 		stems[i] = stem.Stem(tok)
 	}
-	var out []db.TextMatch
+	var out []textMatch
 	for i := range ci.textAttrs {
 		ta := &ci.textAttrs[i]
 		query := stems[:0:0]
@@ -172,14 +180,14 @@ func (ci *candidateIndex) findTextAttrs(keyword string) []db.TextMatch {
 			continue
 		}
 		if vals := ta.matchAll(query); len(vals) > 0 {
-			out = append(out, db.TextMatch{Relation: ta.rel, Attribute: ta.attr, Values: vals})
+			out = append(out, textMatch{ta.relAttr, vals})
 		}
 	}
 	return out
 }
 
 // matchAll intersects, across query stems, the union of postings of tokens
-// having the stem as a prefix. Results are sorted, matching Table.MatchAll.
+// having the stem as a prefix. Results are sorted.
 // Every list involved is sorted and duplicate-free, so both steps are
 // merges: a stem's prefix-matching tokens are one contiguous run of the
 // sorted vocabulary, their postings merge into one union, and each later
@@ -292,24 +300,25 @@ func intersectSorted(a, b []string) []string {
 	return out
 }
 
-// findNumericAttrs is the indexed equivalent of db.Database.FindNumericAttrs.
-func (ci *candidateIndex) findNumericAttrs(n float64, op string) []db.NumericMatch {
+// findNumericAttrs is findNumericAttrs of Algorithm 2: every non-key
+// numeric attribute with at least one value satisfying "attr op n" (an
+// empty op is "="), i.e. whose predicate passes exec(c) ≠ ∅.
+func (ci *candidateIndex) findNumericAttrs(n float64, op string) []relAttr {
 	if op == "" {
 		op = "="
 	}
-	var out []db.NumericMatch
+	var out []relAttr
 	for i := range ci.numAttrs {
 		na := &ci.numAttrs[i]
 		if na.anyMatch(op, n) {
-			out = append(out, db.NumericMatch{Relation: na.rel, Attribute: na.attr})
+			out = append(out, na.relAttr)
 		}
 	}
 	return out
 }
 
 // anyMatch reports whether any stored value v satisfies "v op n". Unknown
-// operators (including LIKE against numbers) match nothing, like the scan
-// path's per-row Compare errors.
+// operators (including LIKE against numbers) match nothing.
 func (na *numAttrIndex) anyMatch(op string, n float64) bool {
 	vals := na.values
 	if len(vals) == 0 {

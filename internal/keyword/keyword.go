@@ -332,8 +332,8 @@ func (m *Mapper) keywordCands(kw Keyword, buf []Mapping) []Mapping {
 			out = append(out, Mapping{
 				Keyword: kw.Text,
 				Kind:    KindPred,
-				Rel:     match.Relation,
-				Attr:    match.Attribute,
+				Rel:     match.rel,
+				Attr:    match.attr,
 				Op:      op,
 				Value:   sqlparse.Value{Kind: sqlparse.NumberVal, N: num},
 			})
@@ -364,7 +364,7 @@ func (m *Mapper) keywordCands(kw Keyword, buf []Mapping) []Mapping {
 		// WHERE context: full-text search for matching text values (§V-A).
 		const maxValuesPerAttr = 8
 		for _, match := range m.index.findTextAttrs(kw.Text) {
-			vals := match.Values
+			vals := match.values
 			if len(vals) > maxValuesPerAttr {
 				vals = m.bestValues(kw.Text, vals, maxValuesPerAttr)
 			}
@@ -372,8 +372,8 @@ func (m *Mapper) keywordCands(kw Keyword, buf []Mapping) []Mapping {
 				out = append(out, Mapping{
 					Keyword: kw.Text,
 					Kind:    KindPred,
-					Rel:     match.Relation,
-					Attr:    match.Attribute,
+					Rel:     match.rel,
+					Attr:    match.attr,
 					Op:      "=",
 					Value:   sqlparse.Value{Kind: sqlparse.StringVal, S: v},
 				})
@@ -701,8 +701,7 @@ func (m *Mapper) scoreQFGSnapshot(cfg *Configuration, snap *qfg.Snapshot, ids []
 // extractNumber returns the first numeric token in s.
 func extractNumber(s string) (float64, bool) {
 	for _, tok := range strings.Fields(s) {
-		tok = strings.Trim(tok, ",.;:!?")
-		if n, err := strconv.ParseFloat(tok, 64); err == nil {
+		if n, ok := parseNumber(tok); ok {
 			return n, true
 		}
 	}
@@ -713,19 +712,17 @@ func extractNumber(s string) (float64, bool) {
 func stripNumber(s string) string {
 	var out []string
 	for _, tok := range strings.Fields(s) {
-		trimmed := strings.Trim(tok, ",.;:!?")
-		if _, err := strconv.ParseFloat(trimmed, 64); err == nil {
-			continue
+		if _, ok := parseNumber(tok); !ok {
+			out = append(out, tok)
 		}
-		out = append(out, tok)
 	}
 	return strings.Join(out, " ")
 }
 
-func splitQualified(q string) (rel, attr string, err error) {
-	i := strings.IndexByte(q, '.')
-	if i < 0 {
-		return "", "", fmt.Errorf("keyword: malformed qualified attribute %q", q)
-	}
-	return q[:i], q[i+1:], nil
+// parseNumber reads one whitespace-separated token, less surrounding
+// punctuation, as a finite number. Tokens strconv reads as ±Inf or NaN
+// ("inf", "Infinity", a name "Nan") are words.
+func parseNumber(tok string) (float64, bool) {
+	n, err := strconv.ParseFloat(strings.Trim(tok, ",.;:!?"), 64)
+	return n, err == nil && !math.IsInf(n, 0) && !math.IsNaN(n)
 }

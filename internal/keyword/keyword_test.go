@@ -90,6 +90,18 @@ func TestExtractNumber(t *testing.T) {
 	if got := stripNumber("2000"); got != "" {
 		t.Fatalf("stripNumber = %q", got)
 	}
+	// Tokens strconv reads as ±Inf or NaN are words, not numbers.
+	for _, s := range []string{"inf", "+Inf", "-infinity", "Infinity", "nan", "NaN", "Nan Goldin"} {
+		if n, ok := extractNumber(s); ok {
+			t.Errorf("extractNumber(%q) = %v, want no number", s, n)
+		}
+		if got := stripNumber(s); got != s {
+			t.Errorf("stripNumber(%q) = %q, want it unchanged", s, got)
+		}
+	}
+	if n, ok := extractNumber("nan 1999"); !ok || n != 1999 {
+		t.Fatalf("extractNumber skips words: %v %v", n, ok)
+	}
 }
 
 func TestKeywordCandsNumeric(t *testing.T) {

@@ -73,42 +73,166 @@ func (r *refLog) dice(a, b fragment.Fragment) float64 {
 	return min(2*float64(ne)/float64(na+nb), 1)
 }
 
-// sameMatches compares probe results, treating nil and empty as equal.
-func sameMatches(a, b any) bool {
-	if reflect.ValueOf(a).Len() == 0 && reflect.ValueOf(b).Len() == 0 {
-		return true
-	}
-	return reflect.DeepEqual(a, b)
+// refProbes answers Algorithm 2's probes as plainly as possible from the
+// rows — the independent reference the candidate index is held to. Per
+// text attribute it keeps a stem → distinct-value map and scans all of it
+// for every query stem; numeric probes scan the rows with db.Value.Compare.
+type refProbes struct {
+	d    *db.Database
+	rels []string                              // sorted relation names
+	keys map[string]bool                       // "rel.attr" of PK and FK-PK columns
+	text map[string]map[string]map[string]bool // "rel.attr" → stem → values
 }
 
-// TestCandidateIndexMatchesDatabaseProbes pins the mapper's precomputed
-// candidate index to the database probes of Algorithm 2 it replaces: for
-// every keyword of every benchmark task, the full-text and numeric probes
-// (every operator) must return exactly db.FindTextAttrs/FindNumericAttrs —
-// same matches, same values, same order — and the FROM and SELECT
-// candidate lists must be the schema's relations and non-key attributes.
+func newRefProbes(d *db.Database) *refProbes {
+	g := d.Schema()
+	r := &refProbes{d: d, rels: g.Relations(), keys: map[string]bool{}, text: map[string]map[string]map[string]bool{}}
+	sort.Strings(r.rels)
+	for _, fk := range g.ForeignKeys() {
+		r.keys[fk.FromRel+"."+fk.FromAttr] = true
+		r.keys[fk.ToRel+"."+fk.ToAttr] = true
+	}
+	for _, rn := range r.rels {
+		rel, _ := g.Relation(rn)
+		t := d.Table(rn)
+		for ci, a := range rel.Attributes {
+			if a.PrimaryKey {
+				r.keys[rn+"."+a.Name] = true
+			}
+			if a.Type != schema.Text {
+				continue
+			}
+			idx := map[string]map[string]bool{}
+			for _, row := range t.Rows() {
+				v := row[ci].S
+				for _, tok := range db.Tokenize(v) {
+					s := stem.Stem(tok)
+					if idx[s] == nil {
+						idx[s] = map[string]bool{}
+					}
+					idx[s][v] = true
+				}
+			}
+			r.text[rn+"."+a.Name] = idx
+		}
+	}
+	return r
+}
+
+// nonKey lists the schema's non-key attributes in insertion order.
+func (r *refProbes) nonKey() []string {
+	var out []string
+	for _, q := range r.d.Schema().QualifiedAttributes() {
+		if !r.keys[q] {
+			out = append(out, q)
+		}
+	}
+	return out
+}
+
+// textAttrs is findTextAttrs: every text attribute with a distinct value
+// holding, for each keyword stem, a token stem it prefixes — after
+// dropping the stems equal to the stemmed relation or attribute name, and
+// skipping the attribute when none are left.
+func (r *refProbes) textAttrs(kw string) []keyword.Match {
+	var out []keyword.Match
+	for _, rn := range r.rels {
+		rel, _ := r.d.Schema().Relation(rn)
+		for _, a := range rel.Attributes {
+			if a.Type != schema.Text {
+				continue
+			}
+			var query []string
+			for _, tok := range db.Tokenize(kw) {
+				if s := stem.Stem(tok); s != stem.Stem(rn) && s != stem.Stem(a.Name) {
+					query = append(query, s)
+				}
+			}
+			if vals := r.matchAll(rn+"."+a.Name, query); len(vals) > 0 {
+				out = append(out, keyword.Match{Attr: rn + "." + a.Name, Values: vals})
+			}
+		}
+	}
+	return out
+}
+
+// matchAll returns the sorted values matching every query stem by prefix;
+// an empty query matches nothing.
+func (r *refProbes) matchAll(q string, query []string) []string {
+	var result map[string]bool
+	for _, qs := range query {
+		matched := map[string]bool{}
+		for tok, vals := range r.text[q] {
+			if strings.HasPrefix(tok, qs) {
+				for v := range vals {
+					matched[v] = true
+				}
+			}
+		}
+		if result != nil {
+			for v := range result {
+				if !matched[v] {
+					delete(result, v)
+				}
+			}
+		} else {
+			result = matched
+		}
+	}
+	var out []string
+	for v := range result {
+		out = append(out, v)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// numericAttrs is findNumericAttrs: every non-key numeric attribute with a
+// row satisfying "attr op n" (an empty op is "=").
+func (r *refProbes) numericAttrs(n float64, op string) []keyword.Match {
+	if op == "" {
+		op = "="
+	}
+	var out []keyword.Match
+	for _, rn := range r.rels {
+		rel, _ := r.d.Schema().Relation(rn)
+		for ci, a := range rel.Attributes {
+			if a.Type != schema.Number || r.keys[rn+"."+a.Name] {
+				continue
+			}
+			for _, row := range r.d.Table(rn).Rows() {
+				if ok, err := row[ci].Compare(op, db.Num(n)); err == nil && ok {
+					out = append(out, keyword.Match{Attr: rn + "." + a.Name})
+					break
+				}
+			}
+		}
+	}
+	return out
+}
+
+// TestCandidateIndexMatchesDatabaseProbes pins the mapper's candidate index
+// to refProbes: for every keyword of every benchmark task, the full-text
+// and numeric probes (every operator) must return exactly what the plain
+// scan of the rows returns — same matches, same values, same order — and
+// the FROM and SELECT candidate lists must be the schema's relations and
+// non-key attributes.
 func TestCandidateIndexMatchesDatabaseProbes(t *testing.T) {
 	for _, ds := range datasets.All() {
 		ds := ds
 		t.Run(ds.Name, func(t *testing.T) {
 			m := keyword.NewMapper(ds.DB, embedding.New(), nil, keyword.Options{})
+			ref := newRefProbes(ds.DB)
 			if got, want := m.IndexFromRels(), ds.DB.Schema().Relations(); !reflect.DeepEqual(got, want) {
 				t.Fatalf("FROM candidates = %v, want %v", got, want)
 			}
-			var nonKey []string
-			for _, q := range ds.DB.Schema().QualifiedAttributes() {
-				rel, attr, _ := strings.Cut(q, ".")
-				if !ds.DB.IsKeyColumn(rel, attr) {
-					nonKey = append(nonKey, q)
-				}
-			}
-			if got := m.IndexSelectAttrs(); !reflect.DeepEqual(got, nonKey) {
-				t.Fatalf("SELECT candidates = %v, want %v", got, nonKey)
+			if got, want := m.IndexSelectAttrs(), ref.nonKey(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("SELECT candidates = %v, want %v", got, want)
 			}
 			probes := 0
 			for _, task := range ds.Tasks {
 				for _, kw := range task.Keywords {
-					if got, want := m.IndexTextAttrs(kw.Text), ds.DB.FindTextAttrs(kw.Text); !sameMatches(got, want) {
+					if got, want := m.IndexTextAttrs(kw.Text), ref.textAttrs(kw.Text); !reflect.DeepEqual(got, want) {
 						t.Fatalf("%s: text probe %q = %v, want %v", task.ID, kw.Text, got, want)
 					}
 					n, ok := keyword.ExtractNumber(kw.Text)
@@ -119,7 +243,7 @@ func TestCandidateIndexMatchesDatabaseProbes(t *testing.T) {
 						// The keyword's own value plus its neighbours, so
 						// both sides of every attribute extreme are probed.
 						for _, x := range []float64{n - 1, n, n + 1} {
-							if got, want := m.IndexNumericAttrs(x, op), ds.DB.FindNumericAttrs(x, op); !sameMatches(got, want) {
+							if got, want := m.IndexNumericAttrs(x, op), ref.numericAttrs(x, op); !reflect.DeepEqual(got, want) {
 								t.Fatalf("%s: numeric probe %v %q = %v, want %v", task.ID, x, op, got, want)
 							}
 							probes++
@@ -133,12 +257,14 @@ func TestCandidateIndexMatchesDatabaseProbes(t *testing.T) {
 			// Keywords built from the stored text, so matchAll's merges
 			// run on every shape: stems prefix-matching several tokens
 			// (whose postings are unioned) and several stems (whose unions
-			// are intersected), with empty and non-empty results.
-			unions, intersections := 0, 0
+			// are intersected), with empty and non-empty results; and
+			// schema names paired with stored tokens, so the rule dropping
+			// relation- and attribute-name stems decides matches.
+			unions, intersections, named := 0, 0, 0
 			merges := mergeProbeKeywords(ds.DB)
 			for _, kw := range merges {
-				got, want := m.IndexTextAttrs(kw.text), ds.DB.FindTextAttrs(kw.text)
-				if !sameMatches(got, want) {
+				got, want := m.IndexTextAttrs(kw.text), ref.textAttrs(kw.text)
+				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("text probe %q = %v, want %v", kw.text, got, want)
 				}
 				if len(want) > 0 && kw.multiToken {
@@ -147,10 +273,13 @@ func TestCandidateIndexMatchesDatabaseProbes(t *testing.T) {
 				if len(want) > 0 && kw.multiStem {
 					intersections++
 				}
+				if len(want) > 0 && kw.schemaName {
+					named++
+				}
 			}
-			t.Logf("%d merge probes: %d matched with a multi-token stem, %d with several stems", len(merges), unions, intersections)
-			if unions == 0 || intersections == 0 {
-				t.Fatalf("merge probes matched %d multi-token stems and %d multi-stem keywords; want both > 0", unions, intersections)
+			t.Logf("%d merge probes: %d matched with a multi-token stem, %d with several stems, %d with a schema name", len(merges), unions, intersections, named)
+			if unions == 0 || intersections == 0 || named == 0 {
+				t.Fatalf("merge probes matched %d multi-token stems, %d multi-stem keywords and %d schema-name keywords; want all > 0", unions, intersections, named)
 			}
 		})
 	}
@@ -158,16 +287,18 @@ func TestCandidateIndexMatchesDatabaseProbes(t *testing.T) {
 
 // mergeProbe is one synthetic full-text keyword: multiToken when one of
 // its stems is a prefix of two or more distinct stored tokens of some text
-// attribute, multiStem when it has two or more stems.
+// attribute, multiStem when it has two or more stems, schemaName when it
+// leads with a relation or attribute name.
 type mergeProbe struct {
-	text                  string
-	multiToken, multiStem bool
+	text                              string
+	multiToken, multiStem, schemaName bool
 }
 
 // mergeProbeKeywords derives full-text keywords from up to 16 sorted
 // distinct values of every text attribute: the value itself, two- and
 // three-letter prefixes of its tokens, a prefix paired with its last
-// token, and its first token paired with the next value's first token.
+// token, its first token paired with the next value's first token, and its
+// first token after the relation name and after the attribute name.
 func mergeProbeKeywords(d *db.Database) []mergeProbe {
 	var out []mergeProbe
 	g := d.Schema()
@@ -223,6 +354,9 @@ func mergeProbeKeywords(d *db.Database) []mergeProbe {
 					if next := db.Tokenize(vals[i+1]); len(next) > 0 {
 						add(toks[0] + " " + next[0])
 					}
+				}
+				for _, name := range []string{rn, a.Name} {
+					out = append(out, mergeProbe{text: name + " " + toks[0], schemaName: true})
 				}
 			}
 		}

@@ -451,8 +451,9 @@ func TestNewSystemMatchesNewFromParts(t *testing.T) {
 }
 
 // TestTranslateRefusesUnparseableSQL: metadata a library caller passes
-// unchecked, or a number the SQL parser cannot read back, must fail the
-// translation rather than be spliced into served SQL text.
+// unchecked must fail the translation rather than be spliced into served
+// SQL text. Keywords strconv reads as ±Inf or NaN are words, never
+// numeric predicates: whatever they translate to carries neither.
 func TestTranslateRefusesUnparseableSQL(t *testing.T) {
 	d := exampleDB(t)
 	sys := pipelinePlus(d, exampleQFG(t))
@@ -461,14 +462,6 @@ func TestTranslateRefusesUnparseableSQL(t *testing.T) {
 		"injected op": {
 			{Text: "papers", Meta: keyword.Metadata{Context: fragment.Select}},
 			{Text: "after 2000", Meta: keyword.Metadata{Context: fragment.Where, Op: "> 0; DROP TABLE u; --"}},
-		},
-		"inf": {
-			{Text: "papers", Meta: keyword.Metadata{Context: fragment.Select}},
-			{Text: "inf", Meta: keyword.Metadata{Context: fragment.Where, Op: "<"}},
-		},
-		"nan": {
-			{Text: "papers", Meta: keyword.Metadata{Context: fragment.Select}},
-			{Text: "nan", Meta: keyword.Metadata{Context: fragment.Where, Op: "!="}},
 		},
 	} {
 		tr, err := sys.Translate("", false, kws)
@@ -479,6 +472,28 @@ func TestTranslateRefusesUnparseableSQL(t *testing.T) {
 		// attribute, so that keyword fails in the mapper instead.
 		if name != "injected op" && !strings.Contains(err.Error(), "generated unparseable SQL") {
 			t.Fatalf("%s: error %v, want the unparseable-SQL guard", name, err)
+		}
+	}
+	for _, kw := range []keyword.Keyword{
+		{Text: "inf", Meta: keyword.Metadata{Context: fragment.Where, Op: "<"}},
+		{Text: "Infinity", Meta: keyword.Metadata{Context: fragment.Where, Op: ">"}},
+		{Text: "nan", Meta: keyword.Metadata{Context: fragment.Where, Op: "!="}},
+		{Text: "-Inf", Meta: keyword.Metadata{Context: fragment.Where}},
+	} {
+		tr, err := sys.Translate("", false, []keyword.Keyword{{Text: "papers", Meta: keyword.Metadata{Context: fragment.Select}}, kw})
+		if err != nil {
+			if strings.Contains(err.Error(), "generated unparseable SQL") {
+				t.Fatalf("%q: %v; want it mapped as a word", kw.Text, err)
+			}
+			continue
+		}
+		for _, m := range tr.Config.Mappings {
+			if m.Value.Kind == sqlparse.NumberVal {
+				t.Fatalf("%q: mapped to numeric predicate %v", kw.Text, m)
+			}
+		}
+		if strings.Contains(tr.SQL, "+Inf") || strings.Contains(tr.SQL, "-Inf") || strings.Contains(tr.SQL, "NaN") {
+			t.Fatalf("%q: translated to %q", kw.Text, tr.SQL)
 		}
 	}
 }

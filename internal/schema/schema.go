@@ -11,7 +11,6 @@ package schema
 import (
 	"fmt"
 	"sort"
-	"strings"
 )
 
 // Type identifies the value domain of an attribute.
@@ -108,15 +107,15 @@ type Graph struct {
 	order     []string // relation names in insertion order, for determinism
 	fks       []ForeignKey
 	// adjacency between relation vertices induced by FK-PK edges:
-	// rel -> sorted set of neighboring rels with the FKs connecting them.
-	adj map[string]map[string][]ForeignKey
+	// rel -> set of neighboring rels.
+	adj map[string]map[string]bool
 }
 
 // NewGraph returns an empty schema graph.
 func NewGraph() *Graph {
 	return &Graph{
 		relations: make(map[string]*Relation),
-		adj:       make(map[string]map[string][]ForeignKey),
+		adj:       make(map[string]map[string]bool),
 	}
 }
 
@@ -163,34 +162,24 @@ func (g *Graph) AddForeignKey(fk ForeignKey) error {
 		return fmt.Errorf("schema: foreign key %v: unknown attribute %q.%q", fk, fk.ToRel, fk.ToAttr)
 	}
 	g.fks = append(g.fks, fk)
-	g.link(fk.FromRel, fk.ToRel, fk)
-	g.link(fk.ToRel, fk.FromRel, fk)
+	g.link(fk.FromRel, fk.ToRel)
+	g.link(fk.ToRel, fk.FromRel)
 	return nil
 }
 
-func (g *Graph) link(a, b string, fk ForeignKey) {
+func (g *Graph) link(a, b string) {
 	m := g.adj[a]
 	if m == nil {
-		m = make(map[string][]ForeignKey)
+		m = make(map[string]bool)
 		g.adj[a] = m
 	}
-	m[b] = append(m[b], fk)
+	m[b] = true
 }
 
 // Relation returns the relation with the given name, or false.
 func (g *Graph) Relation(name string) (*Relation, bool) {
 	r, ok := g.relations[name]
 	return r, ok
-}
-
-// HasAttribute reports whether "rel.attr" names an existing attribute.
-func (g *Graph) HasAttribute(rel, attr string) bool {
-	r, ok := g.relations[rel]
-	if !ok {
-		return false
-	}
-	_, ok = r.Attribute(attr)
-	return ok
 }
 
 // Relations returns relation names in insertion order. The slice is a copy.
@@ -216,17 +205,6 @@ func (g *Graph) Neighbors(rel string) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// EdgesBetween returns the FK-PK edges connecting relations a and b, in
-// registration order. Multiple parallel edges are possible (e.g. cite has
-// both citing and cited FKs to publication).
-func (g *Graph) EdgesBetween(a, b string) []ForeignKey {
-	m := g.adj[a]
-	if m == nil {
-		return nil
-	}
-	return append([]ForeignKey(nil), m[b]...)
 }
 
 // Stats summarizes the graph for Table II-style reporting.
@@ -257,44 +235,6 @@ func (g *Graph) QualifiedAttributes() []string {
 	return out
 }
 
-// TextAttributes returns every text-typed "rel.attr" in deterministic order.
-func (g *Graph) TextAttributes() []string {
-	var out []string
-	for _, rn := range g.order {
-		r := g.relations[rn]
-		for _, a := range r.Attributes {
-			if a.Type == Text {
-				out = append(out, rn+"."+a.Name)
-			}
-		}
-	}
-	return out
-}
-
-// NumericAttributes returns every number-typed "rel.attr" in deterministic order.
-func (g *Graph) NumericAttributes() []string {
-	var out []string
-	for _, rn := range g.order {
-		r := g.relations[rn]
-		for _, a := range r.Attributes {
-			if a.Type == Number {
-				out = append(out, rn+"."+a.Name)
-			}
-		}
-	}
-	return out
-}
-
-// SplitQualified splits "rel.attr" into its parts. It returns an error when
-// the input does not contain exactly one dot.
-func SplitQualified(q string) (rel, attr string, err error) {
-	i := strings.IndexByte(q, '.')
-	if i <= 0 || i == len(q)-1 || strings.IndexByte(q[i+1:], '.') >= 0 {
-		return "", "", fmt.Errorf("schema: malformed qualified attribute %q", q)
-	}
-	return q[:i], q[i+1:], nil
-}
-
 // Validate checks structural invariants: every relation has a primary key if
 // it is referenced by any FK, and FK endpoints have compatible types.
 func (g *Graph) Validate() error {
@@ -306,22 +246,4 @@ func (g *Graph) Validate() error {
 		}
 	}
 	return nil
-}
-
-// Clone returns a deep copy of the graph. Join path inference forks the graph
-// for self-joins (Algorithm 4), which must not mutate the shared schema.
-func (g *Graph) Clone() *Graph {
-	c := NewGraph()
-	for _, rn := range g.order {
-		// AddRelation deep-copies attributes.
-		if err := c.AddRelation(*g.relations[rn]); err != nil {
-			panic("schema: clone: " + err.Error())
-		}
-	}
-	for _, fk := range g.fks {
-		if err := c.AddForeignKey(fk); err != nil {
-			panic("schema: clone: " + err.Error())
-		}
-	}
-	return c
 }

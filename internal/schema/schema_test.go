@@ -84,17 +84,17 @@ func TestNeighborsAndEdges(t *testing.T) {
 			t.Fatalf("Neighbors(publication) = %v, want %v", nb, want)
 		}
 	}
-	edges := g.EdgesBetween("publication", "journal")
-	if len(edges) != 1 || edges[0].FromAttr != "jid" {
-		t.Fatalf("EdgesBetween = %v", edges)
+	// Symmetric view: an FK-PK edge links both of its relations.
+	if nb := g.Neighbors("journal"); len(nb) != 1 || nb[0] != "publication" {
+		t.Fatalf("Neighbors(journal) = %v", nb)
 	}
-	// Symmetric view.
-	edges2 := g.EdgesBetween("journal", "publication")
-	if len(edges2) != 1 {
-		t.Fatalf("EdgesBetween reversed = %v", edges2)
+	for _, n := range g.Neighbors("journal") {
+		if n == "keyword" {
+			t.Fatal("journal and keyword must not be adjacent")
+		}
 	}
-	if g.EdgesBetween("journal", "keyword") != nil {
-		t.Fatal("journal and keyword must not be adjacent")
+	if g.Neighbors("nope") != nil {
+		t.Fatal("unknown relation must have no neighbours")
 	}
 }
 
@@ -115,30 +115,26 @@ func TestQualifiedAndTypedAttributeEnumeration(t *testing.T) {
 	if qa[0] != "journal.jid" || qa[1] != "journal.name" {
 		t.Fatalf("unexpected order: %v", qa[:2])
 	}
-	text := g.TextAttributes()
+	var text, num []string
+	for _, q := range qa {
+		rn, an, _ := strings.Cut(q, ".")
+		r, _ := g.Relation(rn)
+		if a, _ := r.Attribute(an); a.Type == Text {
+			text = append(text, q)
+		} else {
+			num = append(num, q)
+		}
+	}
 	for _, q := range text {
 		if strings.Contains(q, "id") {
 			t.Errorf("id column classified as text: %s", q)
 		}
 	}
 	if len(text) != 3 { // journal.name, publication.title, keyword.keyword
-		t.Fatalf("TextAttributes = %v", text)
+		t.Fatalf("text attributes = %v", text)
 	}
-	num := g.NumericAttributes()
-	if len(num)+len(text) != len(qa) {
-		t.Fatalf("typed partitions do not cover all attributes: %d + %d != %d", len(num), len(text), len(qa))
-	}
-}
-
-func TestSplitQualified(t *testing.T) {
-	rel, attr, err := SplitQualified("publication.title")
-	if err != nil || rel != "publication" || attr != "title" {
-		t.Fatalf("SplitQualified = %q %q %v", rel, attr, err)
-	}
-	for _, bad := range []string{"", "noDot", ".leading", "trailing.", "a.b.c"} {
-		if _, _, err := SplitQualified(bad); err == nil {
-			t.Errorf("SplitQualified(%q): expected error", bad)
-		}
+	if len(num) != 7 {
+		t.Fatalf("numeric attributes = %v", num)
 	}
 }
 
@@ -164,28 +160,6 @@ func TestValidateTypeCompatibility(t *testing.T) {
 	}
 	if err := tinyGraph(t).Validate(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestCloneIsDeep(t *testing.T) {
-	g := tinyGraph(t)
-	c := g.Clone()
-	if err := c.AddRelation(Relation{Name: "extra"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := g.Relation("extra"); ok {
-		t.Fatal("mutating clone leaked into original")
-	}
-	gs, cs := g.Stats(), c.Stats()
-	if cs.Relations != gs.Relations+1 || cs.ForeignKeys != gs.ForeignKeys {
-		t.Fatalf("clone stats: %+v vs %+v", cs, gs)
-	}
-	// Mutating a relation's attributes in the clone must not affect original.
-	cr, _ := c.Relation("journal")
-	cr.Attributes[1].Name = "renamed"
-	gr, _ := g.Relation("journal")
-	if gr.Attributes[1].Name != "name" {
-		t.Fatal("attribute slice shared between clone and original")
 	}
 }
 

@@ -148,9 +148,6 @@ func (s *Server) Pool() *pool.Pool { return s.pool }
 // Registry returns the server's tenant registry.
 func (s *Server) Registry() *Registry { return s.reg }
 
-// DefaultDataset returns the dataset name the unprefixed routes alias.
-func (s *Server) DefaultDataset() string { return s.defaultName }
-
 // Route is one registered method+pattern pair. Routes() feeds the
 // OpenAPI-sync check (make api-check), which asserts docs/openapi.yaml
 // describes exactly the v2 surface the server registers.

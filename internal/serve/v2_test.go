@@ -257,8 +257,8 @@ func TestV2TranslatePerItemErrors(t *testing.T) {
 // TestKeywordMetadataValidated: a JSON keyword's op and agg are copied
 // into the SQL the mapper helps build, so anything but ParseSpec's
 // operators and aggregates is a validation error at the boundary — never
-// SQL text carrying it. A keyword whose number the parser cannot read
-// back (inf, nan) fails its item instead of serving that text.
+// SQL text carrying it. Keywords strconv reads as ±Inf or NaN are words,
+// so no response carries +Inf or NaN.
 func TestKeywordMetadataValidated(t *testing.T) {
 	ts := newTestServer(t)
 	const injected = "x) from t; drop table u; --"
@@ -289,16 +289,27 @@ func TestKeywordMetadataValidated(t *testing.T) {
 	if len(resp.Results) != 5 {
 		t.Fatalf("got %d results", len(resp.Results))
 	}
-	for i, wantCode := range []string{api.CodeValidation, api.CodeValidation, api.CodeUnprocessable, api.CodeUnprocessable} {
+	for i := range 2 {
 		r := resp.Results[i]
 		if r.Error == nil || r.SQL != "" || r.Rendered != "" {
 			t.Fatalf("result %d should carry only an error: %+v", i, r)
 		}
-		if r.Error.Code != wantCode {
-			t.Fatalf("result %d code = %q, want %q (%s)", i, r.Error.Code, wantCode, r.Error.Detail)
+		if r.Error.Code != api.CodeValidation {
+			t.Fatalf("result %d code = %q, want %q (%s)", i, r.Error.Code, api.CodeValidation, r.Error.Detail)
 		}
-		if i >= 2 && !strings.Contains(r.Error.Detail, "generated unparseable SQL") {
-			t.Fatalf("result %d detail = %q, want the unparseable-SQL guard", i, r.Error.Detail)
+	}
+	for _, r := range resp.Results[2:4] {
+		if r.Error != nil && strings.Contains(r.Error.Detail, "generated unparseable SQL") {
+			t.Fatalf("non-finite keyword was mapped as a number: %s", r.Error.Detail)
+		}
+		if text := r.SQL + r.Rendered; strings.Contains(text, "+Inf") || strings.Contains(text, "-Inf") || strings.Contains(text, "NaN") {
+			t.Fatalf("non-finite keyword reached SQL: %+v", r)
+		}
+	}
+	for _, spec := range []string{"papers:select;inf:where:<", "papers:select;Infinity:where:>", "papers:select;nan:where:!="} {
+		status, _, raw := postRaw(t, ts.URL+"/v2/mas/map-keywords", api.MapKeywordsRequest{KeywordsInput: api.KeywordsInput{Spec: spec}})
+		if bytes.Contains(raw, []byte("+Inf")) || bytes.Contains(raw, []byte("-Inf")) || bytes.Contains(raw, []byte("NaN")) {
+			t.Fatalf("%s: status %d, response %s", spec, status, raw)
 		}
 	}
 	if r := resp.Results[4]; r.Error != nil || !strings.HasPrefix(r.SQL, "SELECT COUNT(") {

@@ -30,9 +30,6 @@ const (
 	OpFeedback Op = "feedback"
 )
 
-// Ops lists the operation kinds in mix order.
-func Ops() []Op { return []Op{OpMapKeywords, OpInferJoins, OpTranslate, OpFeedback, OpLogAppend} }
-
 // Mix weights the operation kinds of a synthesized stream. Weights are
 // relative integers (a zero weight drops the operation entirely); the
 // remaining fields shape the requests themselves.
