@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-json alloc-check fuzz fmt vet docs-check api-check wal-check repl-check serve soak golden golden-check tables-check counterfactual-check examples-check load-smoke overload-smoke
+.PHONY: all build test race bench bench-json alloc-check fuzz fmt vet docs-check api-check wal-check repl-check serve soak golden golden-check tables-check counterfactual-check examples-check load-smoke overload-smoke bench-smoke
 
 all: build vet test
 
@@ -46,6 +46,7 @@ fuzz:
 	$(GO) test ./internal/sqlparse -fuzz 'FuzzParse$$' -fuzztime 30s
 	$(GO) test ./internal/sqlparse -fuzz 'FuzzParseLog$$' -fuzztime 30s
 	$(GO) test ./internal/keyword -fuzz 'FuzzParseSpec$$' -fuzztime 30s
+	$(GO) test ./internal/embedding -run '^$$' -fuzz 'FuzzVocabSimilarity$$' -fuzztime 30s
 	$(GO) test ./internal/nlidb -run '^$$' -fuzz 'FuzzCanonicalSQL$$' -fuzztime 30s
 	$(GO) test ./internal/nlidb -run '^$$' -fuzz 'FuzzCanonicalSQLAST$$' -fuzztime 30s
 	$(GO) test ./internal/store -run '^$$' -fuzz 'FuzzDecode$$' -fuzztime 30s
@@ -160,3 +161,19 @@ load-smoke: build
 overload-smoke: build
 	$(GO) run ./cmd/templar-load -self -datasets mas -requests 400 -workers 32 -seed 1 \
 		-rate 4000 -max-inflight 4 -retries 0 -expect-shed -o overload.json
+
+# bench-smoke runs the repository benchmark (perfbench/run.sh) for 5 s on
+# each of its three workloads and fails unless the result line reports
+# "correct":true and "failed":0. That puts perfbench's checks (the golden
+# replay, the synth oracle and the store reopen identity) in CI. It gates
+# correctness only: timings on a shared runner are not compared.
+bench-smoke:
+	@for w in gold-hot synth-cold synth-write; do \
+		out=$$(bash perfbench/run.sh --workload $$w --seed 1 --seconds 5) || \
+			{ echo "bench-smoke: $$w exited non-zero" >&2; exit 1; }; \
+		line=$$(printf '%s\n' "$$out" | tail -n 1); \
+		case "$$line" in \
+		*'"correct":true'*'"failed":0,'*) echo "bench-smoke: $$w correct, no failed requests" ;; \
+		*) echo "bench-smoke: $$w: $$line" >&2; exit 1 ;; \
+		esac; \
+	done

@@ -21,9 +21,9 @@ import (
 // fails loudly. If a deliberate change moves the floor, re-measure with
 // `make alloc-check` and adjust the ceiling alongside the change.
 const (
-	maxAllocsMapKeywords = 150 // measured ~74/op
+	maxAllocsMapKeywords = 42  // measured ~21/op
 	maxAllocsInferJoins  = 30  // measured ~2/op (cache hit)
-	maxAllocsTranslate   = 400 // measured ~201/op
+	maxAllocsTranslate   = 288 // measured ~144/op
 )
 
 func allocSystem(t testing.TB) (*templarpkg.System, *datasets.Dataset) {

@@ -166,7 +166,7 @@ func BenchmarkEvaluateSingleDataset(b *testing.B) {
 // BenchmarkMapKeywordsIndexed measures per-call MAPKEYWORDS cost on the
 // serving hot path: the benchmark workload's keyword sets requested over
 // and over, as a production NLIDB front-end would, answered from the
-// mapper's precomputed candidate index and bounded similarity cache.
+// mapper's precomputed candidate index and interned token vocabulary.
 func BenchmarkMapKeywordsIndexed(b *testing.B) {
 	ds := datasets.MAS()
 	entries := make([]sqlparse.LogEntry, 0, len(ds.Tasks))

@@ -51,22 +51,6 @@ func TestInsertTypeChecking(t *testing.T) {
 	}
 }
 
-func TestTokenize(t *testing.T) {
-	got := Tokenize("Saving Private Ryan (1998)")
-	want := []string{"saving", "private", "ryan", "1998"}
-	if len(got) != len(want) {
-		t.Fatalf("Tokenize = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Tokenize = %v", got)
-		}
-	}
-	if len(Tokenize("")) != 0 || len(Tokenize("!!!")) != 0 {
-		t.Fatal("empty tokenization")
-	}
-}
-
 // TestPredicateNonEmpty: the executor answers exec(c) ≠ ∅ for a
 // candidate predicate c, the probe of SCOREANDPRUNE (§V-B), and rejects
 // predicates over unknown relations or columns.

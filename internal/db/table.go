@@ -45,31 +45,6 @@ func (t *Table) Insert(row []Value) error {
 	return nil
 }
 
-// Tokenize lowercases and splits a string on non-alphanumeric boundaries.
-func Tokenize(s string) []string {
-	var out []string
-	var cur []byte
-	flush := func() {
-		if len(cur) > 0 {
-			out = append(out, string(cur))
-			cur = cur[:0]
-		}
-	}
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		switch {
-		case c >= 'a' && c <= 'z' || c >= '0' && c <= '9':
-			cur = append(cur, c)
-		case c >= 'A' && c <= 'Z':
-			cur = append(cur, c+'a'-'A')
-		default:
-			flush()
-		}
-	}
-	flush()
-	return out
-}
-
 // DistinctValues returns the sorted distinct values of a text column, or
 // nil for a numeric or unknown column.
 func (t *Table) DistinctValues(column string) []string {

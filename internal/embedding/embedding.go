@@ -136,58 +136,57 @@ func (m *Model) directional(from, to []string) float64 {
 // snake_case and camelCase-free SQL identifiers apart.
 func splitTokens(s string) []string {
 	var out []string
-	var cur []byte
-	flush := func() {
-		if len(cur) > 0 {
-			out = append(out, string(cur))
-			cur = cur[:0]
-		}
-	}
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		switch {
-		case c >= 'a' && c <= 'z' || c >= '0' && c <= '9':
-			cur = append(cur, c)
-		case c >= 'A' && c <= 'Z':
-			cur = append(cur, c+'a'-'A')
-		default:
-			flush()
-		}
-	}
-	flush()
+	forEachToken(s, nil, func(tok []byte) { out = append(out, string(tok)) })
 	return out
 }
 
-// tokenVector builds the hashed character-trigram vector of a token. The
-// token is padded with boundary markers so short words still produce
-// informative trigrams.
+// tokenVector builds the hashed character-trigram vector of a token.
 func tokenVector(tok string) [dim]float64 {
 	var v [dim]float64
-	padded := "^" + tok + "$"
-	if len(padded) < 3 {
-		return v
-	}
-	for i := 0; i+3 <= len(padded); i++ {
-		h := fnv32(padded[i : i+3])
-		idx := int(h % dim)
-		sign := 1.0
-		if (h>>16)&1 == 1 {
-			sign = -1
-		}
-		v[idx] += sign
+	for i, n := range trigramCounts(tok) {
+		v[i] = float64(n)
 	}
 	return v
 }
 
-// fnv32 is the 32-bit FNV-1a hash.
-func fnv32(s string) uint32 {
+// trigramCounts hashes the character trigrams of a token into dim signed
+// counts. The token is padded with boundary markers so short words still
+// produce informative trigrams.
+func trigramCounts(tok string) [dim]int32 {
+	var v [dim]int32
+	n := len(tok) + 2 // the padded length: "^" + tok + "$"
+	if n < 3 {
+		return v
+	}
+	at := func(i int) byte {
+		switch i {
+		case 0:
+			return '^'
+		case n - 1:
+			return '$'
+		}
+		return tok[i-1]
+	}
+	for i := 0; i+3 <= n; i++ {
+		h := fnv32(at(i), at(i+1), at(i+2))
+		if (h>>16)&1 == 1 {
+			v[h%dim]--
+		} else {
+			v[h%dim]++
+		}
+	}
+	return v
+}
+
+// fnv32 is the 32-bit FNV-1a hash of a trigram.
+func fnv32(a, b, c byte) uint32 {
 	const (
 		offset = 2166136261
 		prime  = 16777619
 	)
 	h := uint32(offset)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
+	for _, x := range [3]byte{a, b, c} {
+		h ^= uint32(x)
 		h *= prime
 	}
 	return h

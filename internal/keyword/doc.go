@@ -13,22 +13,26 @@
 // *qfg.Snapshot (compiled from a graph or loaded from internal/store), or
 // nil for the log-free baseline. The mapper never reads a qfg.Live: a
 // growing log is followed by templar, whose per-snapshot engines each hold
-// a WithSnapshot copy sharing the candidate index and similarity cache.
+// a WithSnapshot copy sharing the candidate index.
 //
 // A Mapper is safe for concurrent use: candidate retrieval goes through an
 // inverted index over schema names and column values precomputed at
-// construction, embedding similarities are memoized in a bounded sharded
-// cache, and QFG scoring probes an immutable interned-ID snapshot with
-// zero locking. There is one retrieval path and one scoring path. The
-// candidate index is the only implementation of Algorithm 2's probes
-// (findTextAttrs, findNumericAttrs); the database stores rows only. The
-// package tests pin both paths to plain references kept in the tests —
-// the probes answered by scanning the rows, and Dice, Occurrences and
-// Queries recomputed from fragment-keyed counts of the log.
+// construction, simtext (Algorithm 3) runs over the index's interned token
+// vocabulary (embedding.Vocab) with no cache, and QFG scoring probes an
+// immutable interned-ID snapshot with zero locking. There is one retrieval
+// path and one scoring path. The candidate index is the only
+// implementation of Algorithm 2's probes (findTextAttrs,
+// findNumericAttrs); the database stores rows only. The package tests pin
+// every path to plain references kept in the tests — the probes answered
+// by scanning the rows, every σ computed by embedding.Model.Similarity on
+// the phrases' text, and Dice, Occurrences and Queries recomputed from
+// fragment-keyed counts of the log.
 //
 // Nothing on a miss sorts more than it keeps. A full-text probe merges the
-// sorted posting lists of the index (a union per query stem, intersected
-// across stems) with no set and no final sort. PRUNE (§V-B) selects the
+// sorted value-ID posting lists of the index (a union per query stem,
+// intersected across stems) with no set and no final sort. An attribute
+// matching more than eight values keeps the eight most similar by bounded
+// insertion, in stable-sort order. PRUNE (§V-B) selects the
 // top κ per keyword by bounded insertion into the pooled candidate buffer,
 // in the order a stable sort of all candidates would give; that sort plus
 // cut stays in the tests as the selection's oracle. Configurations are

@@ -4,9 +4,9 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"sync"
 
 	"templar/internal/db"
+	"templar/internal/embedding"
 	"templar/internal/schema"
 	"templar/internal/stem"
 )
@@ -14,10 +14,16 @@ import (
 // candidateIndex is the one implementation of Algorithm 2's candidate
 // retrieval (§V-A): the FROM-context relation list, the SELECT-context
 // non-key attribute list, findTextAttrs over a per-attribute inverted text
-// index (sorted stemmed tokens with value postings), and findNumericAttrs
-// over the sorted distinct values of every non-key numeric attribute. It
-// is built once, at NewMapper time, from the database's rows; the database
-// itself keeps no index.
+// index (sorted stemmed tokens with value-ID postings), and
+// findNumericAttrs over the sorted distinct values of every non-key
+// numeric attribute. It is built once, at NewMapper time, from the
+// database's rows; the database itself keeps no index.
+//
+// The index also holds what Algorithm 3 scores: an interned token
+// vocabulary (embedding.Vocab) over every schema label and text value,
+// each label and value stored as its span of token IDs. Every distinct
+// token is split, stemmed and hashed once, here, for both the postings and
+// the vocabulary.
 //
 // The index is immutable after construction and therefore safe for
 // concurrent use. Text and numeric probes list attributes by sorted
@@ -25,41 +31,61 @@ import (
 // schema insertion order. TestCandidateIndexMatchesDatabaseProbes holds
 // every probe to a plain scan of the rows.
 type candidateIndex struct {
-	// fromRels is the FROM-context candidate list (schema insertion order).
-	fromRels []string
+	vocab *embedding.Vocab
+	// fromRels is the FROM-context candidate list (schema insertion order)
+	// and fromLabels their names' token IDs.
+	fromRels   []string
+	fromLabels [][]int32
 	// selectAttrs is the SELECT-context candidate list: every non-key
 	// attribute in schema insertion order.
-	selectAttrs []relAttr
+	selectAttrs []selectAttr
 	// textAttrs carries one inverted index per text attribute, ordered by
 	// sorted relation name then attribute declaration order.
 	textAttrs []textAttrIndex
 	// numAttrs carries sorted distinct values per non-key numeric
 	// attribute, in the same relation/attribute order.
 	numAttrs []numAttrIndex
+	// values holds every text attribute's sorted distinct values, one
+	// attribute after another, so value IDs ascend in sorted value order
+	// within an attribute. Value id's token IDs are
+	// valTok[valOff[id]:valOff[id+1]].
+	values []string
+	valOff []int32
+	valTok []int32
 }
 
-// relAttr is one (relation, attribute) pair; findNumericAttrs returns the
-// numeric attributes a probe predicate selects rows of as relAttrs.
+// relAttr is one (relation, attribute) pair.
 type relAttr struct {
 	rel, attr string
 }
 
-// textMatch is one full-text hit: a text attribute and its distinct values
-// that match every query stem.
-type textMatch struct {
+// selectAttr is one SELECT-context candidate with the token IDs of its
+// label "rel attr"; primary marks its relation's first text attribute.
+type selectAttr struct {
 	relAttr
-	values []string
+	label   []int32
+	primary bool
+}
+
+// textMatch is one full-text hit: a text attribute and the IDs of its
+// distinct values that match every query stem, ascending.
+type textMatch struct {
+	*textAttrIndex
+	values []int32
 }
 
 // textAttrIndex is the inverted full-text index of one text attribute:
-// the sorted stemmed token vocabulary with, per token, the sorted distinct
-// values containing it. Prefix queries become a binary search over tokens
-// instead of a scan of the whole vocabulary.
+// the sorted stemmed token vocabulary with, per stem, the ascending IDs of
+// the distinct values containing it (postings post[postOff[i]:postOff[i+1]]
+// for stems[i]). Prefix queries become a binary search over stems instead
+// of a scan of the whole vocabulary.
 type textAttrIndex struct {
 	relAttr
+	label             []int32
 	relStem, attrStem string
-	tokens            []string
-	postings          [][]string
+	stems             []string
+	postOff           []int32
+	post              []int32
 }
 
 // numAttrIndex holds the sorted distinct values of one numeric attribute,
@@ -67,30 +93,36 @@ type textAttrIndex struct {
 // binary search rather than a row scan.
 type numAttrIndex struct {
 	relAttr
+	label  []int32
 	values []float64
 }
 
-// buildCandidateIndex constructs the index from a populated database.
+// buildCandidateIndex constructs the index from a populated database,
+// interning its labels and text values against model's vocabulary.
 // Primary-key columns and both ends of every FK-PK edge are key columns:
 // surrogate ids are never the target of a user's keyword, so they are
 // neither SELECT nor numeric-predicate candidates.
-func buildCandidateIndex(database *db.Database) *candidateIndex {
+func buildCandidateIndex(database *db.Database, model *embedding.Model) *candidateIndex {
 	g := database.Schema()
 	keys := make(map[relAttr]bool)
 	for _, fk := range g.ForeignKeys() {
 		keys[relAttr{fk.FromRel, fk.FromAttr}] = true
 		keys[relAttr{fk.ToRel, fk.ToAttr}] = true
 	}
-	ci := &candidateIndex{fromRels: g.Relations()}
+	v := embedding.NewVocab(model)
+	ci := &candidateIndex{vocab: v, fromRels: g.Relations(), valOff: []int32{0}}
+	label := func(ra relAttr) []int32 { return v.AppendTokens(v.AppendTokens(nil, ra.rel), ra.attr) }
 	for _, rn := range ci.fromRels {
+		ci.fromLabels = append(ci.fromLabels, v.AppendTokens(nil, rn))
 		rel, _ := g.Relation(rn)
+		primary := rel.PrimaryTextAttribute()
 		for _, a := range rel.Attributes {
 			ra := relAttr{rn, a.Name}
 			if a.PrimaryKey {
 				keys[ra] = true
 			}
 			if !keys[ra] {
-				ci.selectAttrs = append(ci.selectAttrs, ra)
+				ci.selectAttrs = append(ci.selectAttrs, selectAttr{ra, label(ra), a.Name == primary})
 			}
 		}
 	}
@@ -105,71 +137,86 @@ func buildCandidateIndex(database *db.Database) *candidateIndex {
 			ra := relAttr{rn, a.Name}
 			switch {
 			case a.Type == schema.Text:
-				ci.textAttrs = append(ci.textAttrs, buildTextIndex(t, ra, relStem))
+				ta := ci.buildTextIndex(t.DistinctValues(a.Name))
+				ta.relAttr, ta.label, ta.relStem, ta.attrStem = ra, label(ra), relStem, stem.Stem(a.Name)
+				ci.textAttrs = append(ci.textAttrs, ta)
 			case a.Type == schema.Number && !keys[ra]:
-				ci.numAttrs = append(ci.numAttrs, buildNumIndex(t.Rows(), col, ra))
+				ci.numAttrs = append(ci.numAttrs, buildNumIndex(t.Rows(), col, ra, label(ra)))
 			}
 		}
 	}
 	return ci
 }
 
-// buildTextIndex maps every stemmed token of an attribute's distinct values
-// to the values containing it, as sorted parallel slices. The values come
-// sorted and distinct, so each posting list is built in order.
-func buildTextIndex(t *db.Table, ra relAttr, relStem string) textAttrIndex {
-	byToken := make(map[string][]string)
-	for _, v := range t.DistinctValues(ra.attr) {
-		for _, tok := range db.Tokenize(v) {
-			s := stem.Stem(tok)
-			if vals := byToken[s]; len(vals) == 0 || vals[len(vals)-1] != v {
-				byToken[s] = append(vals, v)
+// buildTextIndex assigns the next value IDs to an attribute's sorted
+// distinct values, interns their tokens, and maps every token stem to the
+// IDs of the values containing it, as sorted stems with flat postings.
+// IDs are handed out in value order, so each posting list is built in
+// order.
+func (ci *candidateIndex) buildTextIndex(vals []string) textAttrIndex {
+	byStem := make(map[string][]int32)
+	for _, v := range vals {
+		id := int32(len(ci.values))
+		ci.values = append(ci.values, v)
+		lo := len(ci.valTok)
+		ci.valTok = ci.vocab.AppendTokens(ci.valTok, v)
+		ci.valOff = append(ci.valOff, int32(len(ci.valTok)))
+		for _, tok := range ci.valTok[lo:] {
+			s := ci.vocab.StemOf(tok)
+			if ids := byStem[s]; len(ids) == 0 || ids[len(ids)-1] != id {
+				byStem[s] = append(ids, id)
 			}
 		}
 	}
-	idx := textAttrIndex{relAttr: ra, relStem: relStem, attrStem: stem.Stem(ra.attr)}
-	idx.tokens = make([]string, 0, len(byToken))
-	for tok := range byToken {
-		idx.tokens = append(idx.tokens, tok)
+	var ta textAttrIndex
+	ta.stems = make([]string, 0, len(byStem))
+	n := 0
+	for s, ids := range byStem {
+		ta.stems = append(ta.stems, s)
+		n += len(ids)
 	}
-	sort.Strings(idx.tokens)
-	idx.postings = make([][]string, len(idx.tokens))
-	for i, tok := range idx.tokens {
-		idx.postings[i] = byToken[tok]
+	sort.Strings(ta.stems)
+	ta.postOff = make([]int32, 1, len(ta.stems)+1)
+	ta.post = make([]int32, 0, n)
+	for _, s := range ta.stems {
+		ta.post = append(ta.post, byStem[s]...)
+		ta.postOff = append(ta.postOff, int32(len(ta.post)))
 	}
-	return idx
+	return ta
+}
+
+// valueTokens returns the token IDs of text value id.
+func (ci *candidateIndex) valueTokens(id int32) []int32 {
+	return ci.valTok[ci.valOff[id]:ci.valOff[id+1]]
 }
 
 // buildNumIndex collects the sorted distinct values of column col.
-func buildNumIndex(rows [][]db.Value, col int, ra relAttr) numAttrIndex {
+func buildNumIndex(rows [][]db.Value, col int, ra relAttr, label []int32) numAttrIndex {
 	vals := make([]float64, len(rows))
 	for i, row := range rows {
 		vals[i] = row[col].N
 	}
 	slices.Sort(vals)
-	return numAttrIndex{relAttr: ra, values: slices.Clone(slices.Compact(vals))}
+	return numAttrIndex{relAttr: ra, label: label, values: slices.Clone(slices.Compact(vals))}
 }
 
 // findTextAttrs is findTextAttrs of Algorithm 2: boolean-mode "+tok*" AND
 // semantics over every text attribute — each query stem must prefix some
 // stemmed token of a matching value — returning the attributes with at
-// least one matching distinct value. Query stems that exactly match the
-// stemmed relation or attribute name are dropped for that attribute so
-// they do not over-constrain the search (the "movie Saving Private Ryan"
-// rule of §V-A); an attribute left with no query stems is skipped.
-func (ci *candidateIndex) findTextAttrs(keyword string) []textMatch {
-	rawTokens := db.Tokenize(keyword)
-	if len(rawTokens) == 0 {
+// least one matching distinct value. stems are the keyword's token stems
+// (embedding.Query.Stems). Query stems that exactly match the stemmed
+// relation or attribute name are dropped for that attribute so they do not
+// over-constrain the search (the "movie Saving Private Ryan" rule of
+// §V-A); an attribute left with no query stems is skipped.
+func (ci *candidateIndex) findTextAttrs(stems []string) []textMatch {
+	if len(stems) == 0 {
 		return nil
 	}
-	stems := make([]string, len(rawTokens))
-	for i, tok := range rawTokens {
-		stems[i] = stem.Stem(tok)
-	}
 	var out []textMatch
+	var buf [8]string
 	for i := range ci.textAttrs {
 		ta := &ci.textAttrs[i]
-		query := stems[:0:0]
+		query := buf[:0]
 		for _, s := range stems {
 			if s == ta.relStem || s == ta.attrStem {
 				continue
@@ -180,37 +227,40 @@ func (ci *candidateIndex) findTextAttrs(keyword string) []textMatch {
 			continue
 		}
 		if vals := ta.matchAll(query); len(vals) > 0 {
-			out = append(out, textMatch{ta.relAttr, vals})
+			out = append(out, textMatch{ta, vals})
 		}
 	}
 	return out
 }
 
-// matchAll intersects, across query stems, the union of postings of tokens
-// having the stem as a prefix. Results are sorted.
+// matchAll intersects, across query stems, the union of postings of the
+// stems having the query stem as a prefix. Results are ascending value
+// IDs.
 // Every list involved is sorted and duplicate-free, so both steps are
-// merges: a stem's prefix-matching tokens are one contiguous run of the
-// sorted vocabulary, their postings merge into one union, and each later
-// stem's union is intersected into the running result in place. The result
-// is a fresh slice; it never aliases a posting.
-func (ta *textAttrIndex) matchAll(queryStems []string) []string {
-	var result []string
+// merges: a query stem's prefix-matching stems are one contiguous run of
+// the sorted vocabulary, their postings are adjacent runs of post that
+// merge into one union, and each later stem's union is intersected into
+// the running result in place. The result is a fresh slice; it never
+// aliases a posting.
+func (ta *textAttrIndex) matchAll(queryStems []string) []int32 {
+	var result []int32
 	for i, qs := range queryStems {
-		lo := sort.SearchStrings(ta.tokens, qs)
-		hi := lo + sort.Search(len(ta.tokens)-lo, func(j int) bool {
-			return !strings.HasPrefix(ta.tokens[lo+j], qs)
+		lo := sort.SearchStrings(ta.stems, qs)
+		hi := lo + sort.Search(len(ta.stems)-lo, func(j int) bool {
+			return !strings.HasPrefix(ta.stems[lo+j], qs)
 		})
 		if lo == hi {
 			return nil
 		}
-		lists := ta.postings[lo:hi]
+		offs := ta.postOff[lo : hi+1]
+		runs := ta.post[offs[0]:offs[len(offs)-1]]
 		switch {
 		case i == 0:
-			result = unionSorted(lists)
-		case len(lists) == 1:
-			result = intersectSorted(result, lists[0])
+			result = unionRuns(runs, offs)
+		case hi-lo == 1:
+			result = intersectSorted(result, runs)
 		default:
-			result = intersectSorted(result, unionSorted(lists))
+			result = intersectSorted(result, unionRuns(runs, offs))
 		}
 		if len(result) == 0 {
 			return nil
@@ -219,35 +269,31 @@ func (ta *textAttrIndex) matchAll(queryStems []string) []string {
 	return result
 }
 
-// unionSorted returns the sorted union of sorted, duplicate-free lists as a
-// fresh slice. Several lists are merged bottom-up: they start side by side
-// in one buffer, and each pass merges neighbouring runs pairwise into a
-// second buffer, so a short stem matching many tokens costs
-// O(total·log(lists)) rather than a merge per list.
-func unionSorted(lists [][]string) []string {
-	if len(lists) == 1 {
-		return append([]string(nil), lists[0]...)
+// unionRuns returns the sorted union of adjacent sorted, duplicate-free
+// runs as a fresh slice: run k is flat[offs[k]-offs[0]:offs[k+1]-offs[0]]
+// (offs are postOff entries, so flat is post[offs[0]:offs[len(offs)-1]]).
+// Several runs are merged bottom-up: each pass merges neighbouring runs
+// pairwise into a second buffer, so a short stem matching many tokens costs
+// O(total·log(runs)) rather than a merge per run.
+func unionRuns(flat, offs []int32) []int32 {
+	buf := append(make([]int32, 0, len(flat)), flat...)
+	if len(offs) <= 2 {
+		return buf
 	}
-	n := 0
-	for _, l := range lists {
-		n += len(l)
+	ends := make([]int, len(offs)-1) // run k is buf[ends[k-1]:ends[k]]
+	for k := range ends {
+		ends[k] = int(offs[k+1] - offs[0])
 	}
-	buf := make([]string, 0, n)
-	ends := make([]int, len(lists)) // run i is buf[ends[i-1]:ends[i]]
-	for i, l := range lists {
-		buf = append(buf, l...)
-		ends[i] = len(buf)
-	}
-	tmp := make([]string, 0, n)
+	tmp := make([]int32, 0, len(flat))
 	for len(ends) > 1 {
 		tmp = tmp[:0]
 		start, runs := 0, 0
-		for i := 0; i < len(ends); i += 2 {
-			if i+1 < len(ends) {
-				tmp = mergeSorted(tmp, buf[start:ends[i]], buf[ends[i]:ends[i+1]])
-				start = ends[i+1]
+		for k := 0; k < len(ends); k += 2 {
+			if k+1 < len(ends) {
+				tmp = mergeSorted(tmp, buf[start:ends[k]], buf[ends[k]:ends[k+1]])
+				start = ends[k+1]
 			} else {
-				tmp = append(tmp, buf[start:ends[i]]...)
+				tmp = append(tmp, buf[start:ends[k]]...)
 			}
 			ends[runs] = len(tmp)
 			runs++
@@ -260,14 +306,14 @@ func unionSorted(lists [][]string) []string {
 
 // mergeSorted appends the sorted union of sorted, duplicate-free a and b
 // to dst.
-func mergeSorted(dst, a, b []string) []string {
+func mergeSorted(dst, a, b []int32) []int32 {
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
-		switch c := strings.Compare(a[i], b[j]); {
-		case c < 0:
+		switch {
+		case a[i] < b[j]:
 			dst = append(dst, a[i])
 			i++
-		case c > 0:
+		case a[i] > b[j]:
 			dst = append(dst, b[j])
 			j++
 		default:
@@ -282,7 +328,7 @@ func mergeSorted(dst, a, b []string) []string {
 
 // intersectSorted keeps, in place, the elements of sorted a that sorted b
 // also holds.
-func intersectSorted(a, b []string) []string {
+func intersectSorted(a, b []int32) []int32 {
 	out := a[:0]
 	j := 0
 	for _, v := range a {
@@ -303,15 +349,15 @@ func intersectSorted(a, b []string) []string {
 // findNumericAttrs is findNumericAttrs of Algorithm 2: every non-key
 // numeric attribute with at least one value satisfying "attr op n" (an
 // empty op is "="), i.e. whose predicate passes exec(c) ≠ ∅.
-func (ci *candidateIndex) findNumericAttrs(n float64, op string) []relAttr {
+func (ci *candidateIndex) findNumericAttrs(n float64, op string) []*numAttrIndex {
 	if op == "" {
 		op = "="
 	}
-	var out []relAttr
+	var out []*numAttrIndex
 	for i := range ci.numAttrs {
 		na := &ci.numAttrs[i]
 		if na.anyMatch(op, n) {
-			out = append(out, na.relAttr)
+			out = append(out, na)
 		}
 	}
 	return out
@@ -341,92 +387,4 @@ func (na *numAttrIndex) anyMatch(op string, n float64) bool {
 	default:
 		return false
 	}
-}
-
-// ---------------------------------------------------------------------------
-// Bounded, concurrency-safe memo cache for embedding similarities.
-
-// simCacheShards spreads lock contention across independent shards.
-const simCacheShards = 16
-
-// simKey is an unordered phrase pair; Model.Similarity is symmetric, so one
-// entry serves both argument orders.
-type simKey struct{ a, b string }
-
-func makeSimKey(a, b string) simKey {
-	if b < a {
-		a, b = b, a
-	}
-	return simKey{a, b}
-}
-
-// simCache memoizes Model.Similarity results with a two-generation
-// (current/previous) eviction scheme: when the current generation of a
-// shard fills up it becomes the previous generation and a fresh map starts;
-// entries hit in the previous generation are promoted. Memory is therefore
-// bounded at roughly 2 × perShard × simCacheShards entries while hot pairs
-// survive rotation indefinitely.
-type simCache struct {
-	perShard int
-	shards   [simCacheShards]simShard
-}
-
-type simShard struct {
-	mu        sync.Mutex
-	cur, prev map[simKey]float64
-}
-
-func newSimCache(capacity int) *simCache {
-	per := capacity / simCacheShards
-	if per < 64 {
-		per = 64
-	}
-	c := &simCache{perShard: per}
-	for i := range c.shards {
-		c.shards[i].cur = make(map[simKey]float64)
-	}
-	return c
-}
-
-func (c *simCache) shard(k simKey) *simShard {
-	const prime = 16777619
-	h := uint32(2166136261)
-	for i := 0; i < len(k.a); i++ {
-		h = (h ^ uint32(k.a[i])) * prime
-	}
-	for i := 0; i < len(k.b); i++ {
-		h = (h ^ uint32(k.b[i])) * prime
-	}
-	return &c.shards[h%simCacheShards]
-}
-
-func (c *simCache) get(k simKey) (float64, bool) {
-	s := c.shard(k)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if v, ok := s.cur[k]; ok {
-		return v, true
-	}
-	if v, ok := s.prev[k]; ok {
-		s.promote(c.perShard, k, v)
-		return v, true
-	}
-	return 0, false
-}
-
-func (c *simCache) put(k simKey, v float64) {
-	s := c.shard(k)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.promote(c.perShard, k, v)
-}
-
-// promote inserts into the current generation, rotating first when full.
-// Callers must hold mu.
-func (s *simShard) promote(perShard int, k simKey, v float64) {
-	if len(s.cur) >= perShard {
-		s.prev = s.cur
-		s.cur = make(map[simKey]float64, perShard)
-	}
-	s.cur[k] = v
 }

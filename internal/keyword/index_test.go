@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"templar/internal/db"
+	"templar/internal/embedding"
 	"templar/internal/schema"
 	"templar/internal/sqlparse"
 )
@@ -43,11 +44,19 @@ func academicDB(t *testing.T) *db.Database {
 
 func (ra relAttr) String() string { return ra.rel + "." + ra.attr }
 
+// findText probes the index with a keyword's stems, resolved as
+// keywordCands resolves them.
+func (ci *candidateIndex) findText(keyword string) []textMatch {
+	var q embedding.Query
+	ci.vocab.Resolve(&q, keyword)
+	return ci.findTextAttrs(q.Stems())
+}
+
 func TestFindTextAttrsBooleanMode(t *testing.T) {
-	ci := buildCandidateIndex(academicDB(t))
+	ci := buildCandidateIndex(academicDB(t), embedding.New())
 	// "relational databases" stems to [relat, databas]; only one title
 	// contains both prefixes.
-	matches := ci.findTextAttrs("relational databases")
+	matches := ci.findText("relational databases")
 	if len(matches) != 1 {
 		t.Fatalf("matches = %v", matches)
 	}
@@ -56,21 +65,21 @@ func TestFindTextAttrsBooleanMode(t *testing.T) {
 		t.Fatalf("match = %+v", m)
 	}
 	// Single token matching multiple rows in the same attribute.
-	matches = ci.findTextAttrs("databases")
+	matches = ci.findText("databases")
 	if len(matches) != 1 || len(matches[0].values) != 2 {
 		t.Fatalf("matches = %+v", matches)
 	}
 }
 
 func TestFindTextAttrsDropsSchemaNameTokens(t *testing.T) {
-	ci := buildCandidateIndex(academicDB(t))
+	ci := buildCandidateIndex(academicDB(t), embedding.New())
 	// The token "journal" matches the relation name and is dropped when
 	// searching journal.name; "TKDE" alone then matches.
 	found := false
-	for _, m := range ci.findTextAttrs("journal TKDE") {
+	for _, m := range ci.findText("journal TKDE") {
 		if m.String() == "journal.name" {
 			found = true
-			if len(m.values) != 1 || m.values[0] != "TKDE" {
+			if len(m.values) != 1 || ci.values[m.values[0]] != "TKDE" {
 				t.Fatalf("values = %v", m.values)
 			}
 		}
@@ -81,10 +90,10 @@ func TestFindTextAttrsDropsSchemaNameTokens(t *testing.T) {
 }
 
 func TestFindTextAttrsAllTokensSchemaNames(t *testing.T) {
-	ci := buildCandidateIndex(academicDB(t))
+	ci := buildCandidateIndex(academicDB(t), embedding.New())
 	// If every token matches the attribute/relation name the search is
 	// skipped for that attribute (would otherwise match everything).
-	for _, m := range ci.findTextAttrs("journal name") {
+	for _, m := range ci.findText("journal name") {
 		if m.String() == "journal.name" {
 			t.Fatalf("empty-query attribute should be skipped, got %v", m)
 		}
@@ -92,17 +101,17 @@ func TestFindTextAttrsAllTokensSchemaNames(t *testing.T) {
 }
 
 func TestFindTextAttrsNoMatch(t *testing.T) {
-	ci := buildCandidateIndex(academicDB(t))
-	if got := ci.findTextAttrs("zebra unicorn"); got != nil {
+	ci := buildCandidateIndex(academicDB(t), embedding.New())
+	if got := ci.findText("zebra unicorn"); got != nil {
 		t.Fatalf("expected no matches, got %v", got)
 	}
-	if got := ci.findTextAttrs(""); got != nil {
+	if got := ci.findText(""); got != nil {
 		t.Fatalf("expected no matches for empty keyword, got %v", got)
 	}
 }
 
 func TestFindNumericAttrs(t *testing.T) {
-	ci := buildCandidateIndex(academicDB(t))
+	ci := buildCandidateIndex(academicDB(t), embedding.New())
 	// year > 2000 matches publication.year (2001, 2005); no citation
 	// count exceeds 2000.
 	got := ci.findNumericAttrs(2000, ">")
@@ -127,7 +136,7 @@ func TestFindNumericAttrs(t *testing.T) {
 }
 
 func TestFindNumericAttrsDefaultOp(t *testing.T) {
-	ci := buildCandidateIndex(academicDB(t))
+	ci := buildCandidateIndex(academicDB(t), embedding.New())
 	got := ci.findNumericAttrs(1998, "")
 	if len(got) != 1 || got[0].String() != "publication.year" {
 		t.Fatalf("findNumericAttrs eq = %v", got)
@@ -140,7 +149,7 @@ func TestFindNumericAttrsDefaultOp(t *testing.T) {
 // non-key numeric attribute that does must be returned.
 func TestFindNumericAttrsConsistentWithPredicateNonEmpty(t *testing.T) {
 	d := academicDB(t)
-	ci := buildCandidateIndex(d)
+	ci := buildCandidateIndex(d, embedding.New())
 	nonEmpty := func(ra relAttr, op string, n float64) bool {
 		q := sqlparse.MustParse(fmt.Sprintf("SELECT t.%s FROM %s t WHERE t.%s %s %g", ra.attr, ra.rel, ra.attr, op, n))
 		res, err := d.Execute(q)
@@ -154,10 +163,10 @@ func TestFindNumericAttrsConsistentWithPredicateNonEmpty(t *testing.T) {
 		op string
 	}{{2000, ">"}, {35, "="}, {1998, "<="}, {100, "<"}, {2005, ">="}, {12, "!="}, {2006, ">"}} {
 		got := make(map[relAttr]bool)
-		for _, ra := range ci.findNumericAttrs(tc.n, tc.op) {
-			got[ra] = true
-			if !nonEmpty(ra, tc.op, tc.n) {
-				t.Errorf("%v %s %g: returned but empty", ra, tc.op, tc.n)
+		for _, na := range ci.findNumericAttrs(tc.n, tc.op) {
+			got[na.relAttr] = true
+			if !nonEmpty(na.relAttr, tc.op, tc.n) {
+				t.Errorf("%v %s %g: returned but empty", na, tc.op, tc.n)
 			}
 		}
 		for _, ra := range []relAttr{{"publication", "year"}, {"publication", "citations"}} {
@@ -171,7 +180,7 @@ func TestFindNumericAttrsConsistentWithPredicateNonEmpty(t *testing.T) {
 // TestFullTextPrefixSemantics: boolean-mode matching requires EVERY query
 // stem to prefix-match some token of the value.
 func TestFullTextPrefixSemantics(t *testing.T) {
-	ci := buildCandidateIndex(academicDB(t))
+	ci := buildCandidateIndex(academicDB(t), embedding.New())
 	var title *textAttrIndex
 	for i := range ci.textAttrs {
 		if ci.textAttrs[i].String() == "publication.title" {

@@ -127,10 +127,6 @@ type Options struct {
 	IncludeFromInQFG bool
 }
 
-// simCacheSize bounds the similarity memo cache (total entries across all
-// shards, approximately — see simCache).
-const simCacheSize = 65536
-
 func (o Options) withDefaults() Options {
 	if o.K <= 0 {
 		o.K = 5
@@ -149,21 +145,18 @@ func (o Options) withDefaults() Options {
 
 // Mapper executes MAPKEYWORDS against one database.
 //
-// A Mapper is safe for concurrent use: the database, model, QFG and
-// candidate index are read-only after construction, and the similarity memo
-// cache is internally synchronized. The bound database must not be mutated
-// while the Mapper is in use (the precomputed index would go stale).
+// A Mapper is safe for concurrent use: the QFG snapshot and the candidate
+// index are read-only after construction, and per-request state is
+// pooled. The Mapper reads the database's rows and the model's lexicon
+// once, at construction: mutating either afterwards does not reach it.
 type Mapper struct {
-	db    *db.Database
-	model *embedding.Model
 	// snap is the compiled QFG snapshot configurations are ranked
 	// against; nil disables log-driven scoring (pure baseline).
 	snap *qfg.Snapshot
 	opts Options
-	// index precomputes candidate retrieval structures.
+	// index precomputes candidate retrieval and the interned token
+	// vocabulary similarities are scored over.
 	index *candidateIndex
-	// cache memoizes model.Similarity calls.
-	cache *simCache
 }
 
 // NewMapper builds a Mapper that ranks against one fixed QFG snapshot. A
@@ -174,45 +167,30 @@ type Mapper struct {
 // Full fragments (or vice versa) can never match.
 //
 // NewMapper precomputes an inverted index over schema names and column
-// values, so candidate retrieval never scans tables per call, and installs
-// a bounded memo cache for embedding similarities.
+// values, so candidate retrieval never scans tables per call, and interns
+// every distinct token of the schema labels and text values against the
+// model (embedding.Vocab), so scoring a candidate is integer compares and
+// a sparse dot product over token IDs, with no similarity cache.
 func NewMapper(database *db.Database, model *embedding.Model, snap *qfg.Snapshot, opts Options) *Mapper {
 	if snap != nil {
 		opts.Obscurity = snap.Obscurity()
 	}
 	return &Mapper{
-		db:    database,
-		model: model,
 		snap:  snap,
 		opts:  opts.withDefaults(),
-		index: buildCandidateIndex(database),
-		cache: newSimCache(simCacheSize),
+		index: buildCandidateIndex(database, model),
 	}
 }
 
 // WithSnapshot returns a shallow copy of the Mapper ranking against a
-// different snapshot, sharing the candidate index, similarity cache,
-// database and model (all safe for concurrent use). A serving engine uses
-// it to follow a republished log without rebuilding the index. The
-// snapshot must be of the same obscurity lineage as the Mapper was built
-// with.
+// different snapshot, sharing the candidate index and its vocabulary
+// (safe for concurrent use). A serving engine uses it to follow a
+// republished log without rebuilding the index. The snapshot must be of
+// the same obscurity lineage as the Mapper was built with.
 func (m *Mapper) WithSnapshot(snap *qfg.Snapshot) *Mapper {
 	c := *m
 	c.snap = snap
 	return &c
-}
-
-// similarity scores two phrases through the bounded memo cache.
-// Model.Similarity is symmetric and deterministic, so cached values are
-// exact.
-func (m *Mapper) similarity(a, b string) float64 {
-	k := makeSimKey(a, b)
-	if v, ok := m.cache.get(k); ok {
-		return v
-	}
-	v := m.model.Similarity(a, b)
-	m.cache.put(k, v)
-	return v
 }
 
 // CallOptions are per-request overrides of a Mapper's construction-time
@@ -253,8 +231,8 @@ func (m *Mapper) MapKeywords(keywords []Keyword) ([]Configuration, error) {
 	return m.MapKeywordsCtx(context.Background(), keywords, CallOptions{})
 }
 
-// MapKeywordsCtx implements Algorithm 1: candidate retrieval,
-// scoring/pruning, and configuration generation. It returns
+// MapKeywordsCtx implements Algorithm 1: candidate retrieval and
+// scoring, pruning, and configuration generation. It returns
 // configurations sorted by descending Score.
 //
 // ctx is checked between keywords during candidate scoring and
@@ -284,9 +262,9 @@ func (m *Mapper) MapKeywordsCtx(ctx context.Context, keywords []Keyword, co Call
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("keyword: mapping canceled: %w", err)
 		}
-		cands := m.keywordCands(kw, sc.cands[i][:0])
+		cands := m.keywordCands(kw, sc, sc.cands[i][:0])
 		sc.cands[i] = cands // retain (possibly regrown) buffer for reuse
-		scored := m.scoreAndPrune(kw, cands, opts)
+		scored := prune(cands, opts.K, opts.Epsilon)
 		if len(scored) == 0 {
 			return nil, fmt.Errorf("keyword: no candidate mappings for %q", kw.Text)
 		}
@@ -316,66 +294,121 @@ func (m *Mapper) requestOptions(co CallOptions) (Options, error) {
 }
 
 // ---------------------------------------------------------------------------
-// Algorithm 2: candidate retrieval.
+// Algorithms 2 and 3: candidate retrieval and scoring.
 
-// keywordCands maps one keyword to its unscored candidates, appending into
-// buf (pass buf[:0] to reuse a pooled buffer across calls). Retrieval goes
-// through the precomputed candidate index.
-func (m *Mapper) keywordCands(kw Keyword, buf []Mapping) []Mapping {
+// maxValuesPerAttr bounds the text values one attribute contributes to a
+// keyword's candidates: the most similar ones are kept.
+const maxValuesPerAttr = 8
+
+// keywordCands maps one keyword to its candidates, each scored with σ,
+// appending into buf (pass buf[:0] to reuse a pooled buffer across calls).
+// Retrieval goes through the precomputed candidate index; the keyword is
+// split and stemmed once, into sc's query, for both probing and scoring.
+//
+// Relations and attributes score against their schema names; text
+// predicates score against the matched value, with a discounted fallback
+// to the attribute label so "papers about X" still prefers title-ish
+// attributes. A label's similarity is computed once per attribute.
+func (m *Mapper) keywordCands(kw Keyword, sc *mapScratch, buf []Mapping) []Mapping {
+	ci, q := m.index, &sc.query
 	out := buf
 	if num, ok := extractNumber(kw.Text); ok {
 		op := kw.Meta.Op
 		if op == "" {
 			op = "="
 		}
-		for _, match := range m.index.findNumericAttrs(num, op) {
+		// findNumericAttrs already guaranteed exec(c) ≠ ∅; simnum reduces
+		// to simtext of the residual text against the attribute label. An
+		// all-numeric keyword has no residual text: score a neutral
+		// constant so log evidence decides.
+		stext := stripNumber(kw.Text)
+		neutral := strings.TrimSpace(stext) == ""
+		if !neutral {
+			ci.vocab.Resolve(q, stext)
+		}
+		for _, na := range ci.findNumericAttrs(num, op) {
+			sim := 0.5
+			if !neutral {
+				sim = q.Similarity(na.label)
+			}
 			out = append(out, Mapping{
 				Keyword: kw.Text,
 				Kind:    KindPred,
-				Rel:     match.rel,
-				Attr:    match.attr,
+				Rel:     na.rel,
+				Attr:    na.attr,
 				Op:      op,
 				Value:   sqlparse.Value{Kind: sqlparse.NumberVal, N: num},
+				Sim:     sim,
 			})
 		}
 		return out
 	}
+	ci.vocab.Resolve(q, kw.Text)
 	switch kw.Meta.Context {
 	case fragment.From:
-		for _, rel := range m.index.fromRels {
-			out = append(out, Mapping{Keyword: kw.Text, Kind: KindRelation, Rel: rel})
+		for i, rel := range ci.fromRels {
+			out = append(out, Mapping{Keyword: kw.Text, Kind: KindRelation, Rel: rel, Sim: q.Similarity(ci.fromLabels[i])})
 		}
 	case fragment.Select:
 		agg := ""
 		if len(kw.Meta.Aggs) > 0 {
 			agg = kw.Meta.Aggs[0]
 		}
-		for _, ra := range m.index.selectAttrs {
+		for i := range ci.selectAttrs {
+			sa := &ci.selectAttrs[i]
+			s := q.Similarity(sa.label)
+			// Default-projection prior: when a keyword names an entity
+			// without distinguishing between its attributes ("journals",
+			// "businesses"), prefer the relation's human-readable label
+			// column over siblings like homepage. Capped below the
+			// exact-match threshold so the prior can only break ties, never
+			// fabricate an exact match.
+			if sa.primary {
+				s += 0.05
+				if s > 0.97 {
+					s = 0.97
+				}
+			}
 			out = append(out, Mapping{
 				Keyword: kw.Text,
 				Kind:    KindAttr,
-				Rel:     ra.rel,
-				Attr:    ra.attr,
+				Rel:     sa.rel,
+				Attr:    sa.attr,
 				Agg:     agg,
 				GroupBy: kw.Meta.GroupBy,
+				Sim:     s,
 			})
 		}
 	default:
 		// WHERE context: full-text search for matching text values (§V-A).
-		const maxValuesPerAttr = 8
-		for _, match := range m.index.findTextAttrs(kw.Text) {
-			vals := match.values
-			if len(vals) > maxValuesPerAttr {
-				vals = m.bestValues(kw.Text, vals, maxValuesPerAttr)
+		for _, match := range ci.findTextAttrs(q.Stems()) {
+			// An attribute with more than maxValuesPerAttr matching
+			// values keeps the most similar ones; otherwise all are kept,
+			// in value order.
+			top := sc.top[:0]
+			for _, id := range match.values {
+				v := scoredValue{id, q.Similarity(ci.valueTokens(id))}
+				if len(match.values) <= maxValuesPerAttr {
+					top = append(top, v)
+				} else {
+					top = shortlist(top, maxValuesPerAttr, v)
+				}
 			}
-			for _, v := range vals {
+			sc.top = top
+			labelSim := 0.9 * q.Similarity(match.label)
+			for _, v := range top {
+				sim := v.sim
+				if labelSim > sim {
+					sim = labelSim
+				}
 				out = append(out, Mapping{
 					Keyword: kw.Text,
 					Kind:    KindPred,
 					Rel:     match.rel,
 					Attr:    match.attr,
 					Op:      "=",
-					Value:   sqlparse.Value{Kind: sqlparse.StringVal, S: v},
+					Value:   sqlparse.Value{Kind: sqlparse.StringVal, S: ci.values[v.id]},
+					Sim:     sim,
 				})
 			}
 		}
@@ -383,98 +416,31 @@ func (m *Mapper) keywordCands(kw Keyword, buf []Mapping) []Mapping {
 	return out
 }
 
-// bestValues keeps the n values most similar to the keyword.
-func (m *Mapper) bestValues(keyword string, vals []string, n int) []string {
-	type scored struct {
-		v string
-		s float64
-	}
-	ss := make([]scored, len(vals))
-	for i, v := range vals {
-		ss[i] = scored{v, m.similarity(keyword, v)}
-	}
-	sort.SliceStable(ss, func(i, j int) bool { return ss[i].s > ss[j].s })
-	out := make([]string, 0, n)
-	for i := 0; i < n && i < len(ss); i++ {
-		out = append(out, ss[i].v)
-	}
-	return out
+// scoredValue is one text value ID with its σ against the keyword.
+type scoredValue struct {
+	id  int32
+	sim float64
 }
 
-// ---------------------------------------------------------------------------
-// Algorithm 3: scoring and pruning.
-
-// scoreAndPrune computes σ per candidate and applies the PRUNE procedure
-// (see prune), reordering cands in place and returning a prefix of it.
-func (m *Mapper) scoreAndPrune(kw Keyword, cands []Mapping, opts Options) []Mapping {
-	num, hasNum := extractNumber(kw.Text)
-	stext := kw.Text
-	if hasNum {
-		stext = stripNumber(kw.Text)
-	}
-	for i := range cands {
-		c := &cands[i]
-		if hasNum {
-			// findNumericAttrs already guaranteed exec(c) ≠ ∅; simnum
-			// reduces to simtext of the residual text against the
-			// attribute label. An all-numeric keyword has no residual
-			// text: score a neutral constant so log evidence decides.
-			if strings.TrimSpace(stext) == "" {
-				c.Sim = 0.5
-			} else {
-				c.Sim = m.similarity(stext, c.label())
-			}
-			_ = num
-			continue
+// shortlist offers v to top, which keeps at most n values by σ
+// descending, ties in offer order: exactly the first n of a stable sort of
+// every value offered. It is a bounded insertion, the pattern of prune:
+// a newcomer enters a full list only by beating its last entry strictly.
+func shortlist(top []scoredValue, n int, v scoredValue) []scoredValue {
+	if len(top) == n {
+		if v.sim <= top[n-1].sim {
+			return top
 		}
-		c.Sim = m.simText(kw.Text, *c)
+		top = top[:n-1]
 	}
-	return prune(cands, opts.K, opts.Epsilon)
-}
-
-// label is the human-vocabulary rendering of a mapping target for
-// similarity comparison.
-func (m Mapping) label() string {
-	switch m.Kind {
-	case KindRelation:
-		return m.Rel
-	case KindAttr:
-		return m.Rel + " " + m.Attr
-	default:
-		return m.Rel + " " + m.Attr
+	j := len(top)
+	top = append(top, v)
+	for j > 0 && top[j-1].sim < v.sim {
+		top[j] = top[j-1]
+		j--
 	}
-}
-
-// simText scores a purely-textual keyword against a candidate. Relations
-// and attributes compare against their schema names; text predicates
-// compare against the matched value, with a discounted fallback to the
-// attribute label so "papers about X" still prefers title-ish attributes.
-func (m *Mapper) simText(keyword string, c Mapping) float64 {
-	switch c.Kind {
-	case KindRelation:
-		return m.similarity(keyword, c.label())
-	case KindAttr:
-		s := m.similarity(keyword, c.label())
-		// Default-projection prior: when a keyword names an entity without
-		// distinguishing between its attributes ("journals", "businesses"),
-		// prefer the relation's human-readable label column over siblings
-		// like homepage. Capped below the exact-match threshold so the
-		// prior can only break ties, never fabricate an exact match.
-		if rel, ok := m.db.Schema().Relation(c.Rel); ok && rel.PrimaryTextAttribute() == c.Attr {
-			s += 0.05
-			if s > 0.97 {
-				s = 0.97
-			}
-		}
-		return s
-	default:
-		valueSim := m.similarity(keyword, c.Value.S)
-		labelSim := 0.9 * m.similarity(keyword, c.label())
-		if labelSim > valueSim {
-			return labelSim
-		}
-		return valueSim
-	}
+	top[j] = v
+	return top
 }
 
 // ---------------------------------------------------------------------------

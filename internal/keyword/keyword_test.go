@@ -106,7 +106,7 @@ func TestExtractNumber(t *testing.T) {
 
 func TestKeywordCandsNumeric(t *testing.T) {
 	m := newMapper(t, false, Options{})
-	cands := m.keywordCands(Keyword{Text: "after 2000", Meta: Metadata{Context: fragment.Where, Op: ">"}}, nil)
+	cands := m.keywordCands(Keyword{Text: "after 2000", Meta: Metadata{Context: fragment.Where, Op: ">"}}, new(mapScratch), nil)
 	if len(cands) != 1 {
 		t.Fatalf("cands = %v", cands)
 	}
@@ -118,7 +118,7 @@ func TestKeywordCandsNumeric(t *testing.T) {
 
 func TestKeywordCandsFromContext(t *testing.T) {
 	m := newMapper(t, false, Options{})
-	cands := m.keywordCands(Keyword{Text: "papers", Meta: Metadata{Context: fragment.From}}, nil)
+	cands := m.keywordCands(Keyword{Text: "papers", Meta: Metadata{Context: fragment.From}}, new(mapScratch), nil)
 	if len(cands) != 3 {
 		t.Fatalf("cands = %v", cands)
 	}
@@ -131,7 +131,7 @@ func TestKeywordCandsFromContext(t *testing.T) {
 
 func TestKeywordCandsSelectContext(t *testing.T) {
 	m := newMapper(t, false, Options{})
-	cands := m.keywordCands(Keyword{Text: "papers", Meta: Metadata{Context: fragment.Select, Aggs: []string{"COUNT"}}}, nil)
+	cands := m.keywordCands(Keyword{Text: "papers", Meta: Metadata{Context: fragment.Select, Aggs: []string{"COUNT"}}}, new(mapScratch), nil)
 	// All non-key attributes: journal.name, publication.title,
 	// publication.year, domain.name (ids are excluded).
 	if len(cands) != 4 {
@@ -146,7 +146,7 @@ func TestKeywordCandsSelectContext(t *testing.T) {
 
 func TestKeywordCandsTextPredicate(t *testing.T) {
 	m := newMapper(t, false, Options{})
-	cands := m.keywordCands(Keyword{Text: "Databases", Meta: Metadata{Context: fragment.Where}}, nil)
+	cands := m.keywordCands(Keyword{Text: "Databases", Meta: Metadata{Context: fragment.Where}}, new(mapScratch), nil)
 	found := false
 	for _, c := range cands {
 		if c.Kind == KindPred && c.Qualified() == "domain.name" && c.Value.S == "Databases" {
@@ -161,8 +161,7 @@ func TestKeywordCandsTextPredicate(t *testing.T) {
 func TestScoreAndPruneExactMatchExpelsOthers(t *testing.T) {
 	m := newMapper(t, false, Options{})
 	kw := Keyword{Text: "TKDE", Meta: Metadata{Context: fragment.Where}}
-	cands := m.keywordCands(kw, nil)
-	pruned := m.scoreAndPrune(kw, cands, m.opts)
+	pruned := prune(m.keywordCands(kw, new(mapScratch), nil), m.opts.K, m.opts.Epsilon)
 	if len(pruned) != 1 {
 		t.Fatalf("pruned = %v", pruned)
 	}

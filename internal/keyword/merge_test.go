@@ -2,41 +2,48 @@ package keyword
 
 import (
 	"reflect"
-	"sort"
-	"strconv"
+	"slices"
 	"testing"
 
 	"templar/internal/xrand"
 )
 
 // TestPostingMergesMatchSetAlgebra holds matchAll's merges to set
-// algebra on seeded posting lists: the union of 1–20 sorted lists (odd
-// run counts and several bottom-up passes included) and its intersection
-// with another sorted list must equal a set computed with a map.
+// algebra on seeded posting lists: the union of 1–20 adjacent sorted runs
+// (odd run counts and several bottom-up passes included) and its
+// intersection with another sorted list must equal a set computed with a
+// map.
 func TestPostingMergesMatchSetAlgebra(t *testing.T) {
 	r := xrand.New(7)
-	list := func() []string {
-		set := map[string]bool{}
+	list := func() []int32 {
+		set := map[int32]bool{}
 		for i := r.Intn(12); i > 0; i-- {
-			set["v"+strconv.Itoa(r.Intn(40))] = true
+			set[int32(r.Intn(40))] = true
 		}
 		return sortedKeys(set)
 	}
 	for trial := 0; trial < 2000; trial++ {
-		lists := make([][]string, 1+r.Intn(20))
-		want := map[string]bool{}
-		for i := range lists {
-			lists[i] = list()
-			for _, v := range lists[i] {
+		// The runs sit at an offset into a posting array, as they do in
+		// the index, with offs holding their absolute ends.
+		base := int32(r.Intn(5))
+		post := make([]int32, base)
+		offs := []int32{base}
+		want := map[int32]bool{}
+		for i := 1 + r.Intn(20); i > 0; i-- {
+			l := list()
+			post = append(post, l...)
+			offs = append(offs, int32(len(post)))
+			for _, v := range l {
 				want[v] = true
 			}
 		}
-		union := unionSorted(lists)
+		runs := post[base:]
+		union := unionRuns(runs, offs)
 		if got := sortedKeys(want); !reflect.DeepEqual(union, got) && len(union)+len(got) > 0 {
-			t.Fatalf("unionSorted(%v) = %v, want %v", lists, union, got)
+			t.Fatalf("unionRuns(%v, %v) = %v, want %v", runs, offs, union, got)
 		}
 		other := list()
-		inter := map[string]bool{}
+		inter := map[int32]bool{}
 		for _, v := range other {
 			if want[v] {
 				inter[v] = true
@@ -48,11 +55,11 @@ func TestPostingMergesMatchSetAlgebra(t *testing.T) {
 	}
 }
 
-func sortedKeys(set map[string]bool) []string {
-	out := make([]string, 0, len(set))
+func sortedKeys(set map[int32]bool) []int32 {
+	out := make([]int32, 0, len(set))
 	for v := range set {
 		out = append(out, v)
 	}
-	sort.Strings(out)
+	slices.Sort(out)
 	return out
 }

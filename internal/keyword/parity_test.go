@@ -105,7 +105,7 @@ func newRefProbes(d *db.Database) *refProbes {
 			idx := map[string]map[string]bool{}
 			for _, row := range t.Rows() {
 				v := row[ci].S
-				for _, tok := range db.Tokenize(v) {
+				for _, tok := range refTokens(v) {
 					s := stem.Stem(tok)
 					if idx[s] == nil {
 						idx[s] = map[string]bool{}
@@ -117,6 +117,18 @@ func newRefProbes(d *db.Database) *refProbes {
 		}
 	}
 	return r
+}
+
+// refTokens splits s as the vocabulary does: lowercase ASCII letters and
+// digits, every other byte a separator.
+func refTokens(s string) []string {
+	toks := strings.FieldsFunc(s, func(r rune) bool {
+		return !(r >= 'a' && r <= 'z' || r >= 'A' && r <= 'Z' || r >= '0' && r <= '9')
+	})
+	for i, tok := range toks {
+		toks[i] = strings.ToLower(tok)
+	}
+	return toks
 }
 
 // nonKey lists the schema's non-key attributes in insertion order.
@@ -143,7 +155,7 @@ func (r *refProbes) textAttrs(kw string) []keyword.Match {
 				continue
 			}
 			var query []string
-			for _, tok := range db.Tokenize(kw) {
+			for _, tok := range refTokens(kw) {
 				if s := stem.Stem(tok); s != stem.Stem(rn) && s != stem.Stem(a.Name) {
 					query = append(query, s)
 				}
@@ -312,12 +324,12 @@ func mergeProbeKeywords(d *db.Database) []mergeProbe {
 			sort.Strings(vals)
 			vocab := map[string]bool{}
 			for _, v := range vals {
-				for _, tok := range db.Tokenize(v) {
+				for _, tok := range refTokens(v) {
 					vocab[stem.Stem(tok)] = true
 				}
 			}
 			multiToken := func(text string) bool {
-				for _, tok := range db.Tokenize(text) {
+				for _, tok := range refTokens(text) {
 					s, n := stem.Stem(tok), 0
 					for w := range vocab {
 						if strings.HasPrefix(w, s) {
@@ -331,11 +343,11 @@ func mergeProbeKeywords(d *db.Database) []mergeProbe {
 				return false
 			}
 			add := func(text string) {
-				out = append(out, mergeProbe{text: text, multiToken: multiToken(text), multiStem: len(db.Tokenize(text)) >= 2})
+				out = append(out, mergeProbe{text: text, multiToken: multiToken(text), multiStem: len(refTokens(text)) >= 2})
 			}
 			step := len(vals)/16 + 1
 			for i := 0; i < len(vals); i += step {
-				toks := db.Tokenize(vals[i])
+				toks := refTokens(vals[i])
 				if len(toks) == 0 {
 					continue
 				}
@@ -351,7 +363,7 @@ func mergeProbeKeywords(d *db.Database) []mergeProbe {
 					add(first[:3] + " " + toks[len(toks)-1])
 				}
 				if i+1 < len(vals) {
-					if next := db.Tokenize(vals[i+1]); len(next) > 0 {
+					if next := refTokens(vals[i+1]); len(next) > 0 {
 						add(toks[0] + " " + next[0])
 					}
 				}

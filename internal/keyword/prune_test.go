@@ -98,3 +98,38 @@ func sims(ms []Mapping) []string {
 	}
 	return out
 }
+
+// TestShortlistMatchesStableSortThenCut holds the bounded value shortlist
+// to the code it replaced: stable-sort every matching value by σ
+// descending, then keep the first maxValuesPerAttr. σ is drawn from a few
+// levels, so ties fall at the cut and across it.
+func TestShortlistMatchesStableSortThenCut(t *testing.T) {
+	r := xrand.New(3)
+	levels := []float64{0, 0.25, 0.5, 0.5, 0.75, 1}
+	cutTies := 0
+	for trial := 0; trial < 4000; trial++ {
+		n := r.Intn(30)
+		vals := make([]scoredValue, n)
+		for i := range vals {
+			vals[i] = scoredValue{int32(i), levels[r.Intn(len(levels))]}
+		}
+		var got []scoredValue
+		for _, v := range vals {
+			got = shortlist(got, maxValuesPerAttr, v)
+		}
+		want := append([]scoredValue(nil), vals...)
+		sort.SliceStable(want, func(i, j int) bool { return want[i].sim > want[j].sim })
+		if len(want) > maxValuesPerAttr {
+			if want[maxValuesPerAttr-1].sim == want[maxValuesPerAttr].sim {
+				cutTies++
+			}
+			want = want[:maxValuesPerAttr]
+		}
+		if !reflect.DeepEqual(got, want) && len(got)+len(want) > 0 {
+			t.Fatalf("shortlist of %v = %v, want %v", vals, got, want)
+		}
+	}
+	if cutTies == 0 {
+		t.Fatal("no tie at the cut was generated")
+	}
+}

@@ -3,6 +3,8 @@ package keyword
 import (
 	"sort"
 	"sync"
+
+	"templar/internal/embedding"
 )
 
 // topkSel is a bounded top-k configuration selector: it keeps the k best
@@ -203,12 +205,15 @@ func trimZero(ms []Mapping) []Mapping {
 }
 
 // mapScratch is the per-request working state of MapKeywordsCtx, pooled so
-// the serving hot path stops paying one allocation storm per call: candidate
-// buffers, the per-keyword pruned views, interned-ID rows, the enumeration's
+// the serving hot path stops paying one allocation storm per call: the
+// resolved keyword and its value shortlist, candidate buffers, the
+// per-keyword pruned views, interned-ID rows, the enumeration's
 // current-selection buffers and the bounded top-k selector all live here.
 // Nothing in it escapes a call — returned configurations always own fresh
 // backing (see take and the full enumeration path).
 type mapScratch struct {
+	query      embedding.Query
+	top        []scoredValue
 	perKeyword [][]Mapping
 	cands      [][]Mapping // reusable per-keyword candidate buffers
 	perIDs     [][]candID
@@ -242,7 +247,8 @@ func (sc *mapScratch) grab(n int) {
 
 // release clears row views that alias per-call data and returns the scratch
 // to the pool. The Mapping values kept in the buffers reference strings
-// owned by the long-lived database/index, so retaining capacity is safe.
+// owned by the long-lived database/index, and the query references the
+// long-lived vocabulary, so retaining capacity is safe.
 func (sc *mapScratch) release() {
 	for i := range sc.perKeyword {
 		sc.perKeyword[i] = nil

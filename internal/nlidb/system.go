@@ -248,7 +248,7 @@ func (s *System) candidates(ctx context.Context, kws []keyword.Keyword, co CallO
 	if err != nil {
 		return nil, err
 	}
-	var cands []candidate
+	cands := make([]candidate, 0, len(configs)*topPaths)
 	for _, cfg := range configs {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("nlidb: translation canceled: %w", err)

@@ -117,7 +117,7 @@ func NewLive(database *db.Database, model *embedding.Model, src qfg.SnapshotSour
 
 // newEngine compiles the serving state for snap around a mapper already
 // pinned to it. Engines of one System share the first mapper's candidate
-// index and similarity cache (keyword.Mapper.WithSnapshot).
+// candidate index and its token vocabulary (keyword.Mapper.WithSnapshot).
 func (s *System) newEngine(snap *qfg.Snapshot, mapper *keyword.Mapper) *Engine {
 	var w joinpath.WeightFunc
 	if s.opts.LogJoin && snap != nil {
